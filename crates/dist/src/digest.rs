@@ -1,6 +1,7 @@
-//! The stable run digest: FNV-1a over a rendered event log, the same
-//! dependency-free hash the fleet smoke run and the CI goldens use, so
-//! two machines (or two sessions) can compare runs by one hex token.
+//! The stable run digest: FNV-1a over a rendered event log — the one
+//! dependency-free hash behind the smoke runs, the scenario goldens and the
+//! benchmark, so two machines (or two sessions) can compare runs by one hex
+//! token.
 
 /// FNV-1a over the bytes of `text`.
 pub fn fnv1a(text: &str) -> u64 {

@@ -18,6 +18,7 @@
 //!   distributions from datasets.
 //! * [`convert`] — checked numeric conversions required (by xlint rule N1,
 //!   DESIGN.md §6) throughout the cost-model and scheduler arithmetic.
+//! * [`digest`] — the FNV-1a run digest every event-log golden uses.
 //!
 //! # Example
 //!
@@ -36,6 +37,7 @@
 
 mod completion;
 pub mod convert;
+pub mod digest;
 mod error;
 pub mod fit;
 mod length;

@@ -11,6 +11,7 @@
 
 use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
+use exegpt_dist::digest::fnv1a;
 use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
 use exegpt_fleet::{
     DispatchPolicy, Fleet, FleetOptions, FleetReport, ReplicaSpec, ScaleAction, ScaleEvent,
@@ -21,17 +22,6 @@ use exegpt_serve::ServeOptions;
 use exegpt_units::Secs;
 use exegpt_workload::{multi_tenant_trace, ArrivalProcess, Task, TenantRequest, TenantSpec};
 
-/// FNV-1a over a rendered log: a stable, dependency-free digest two runs
-/// (or two CI machines) can compare.
-fn digest(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The fleet digest covers the fabric log plus every replica session log,
 /// so any nondeterminism anywhere in the stack shows up.
 fn fleet_digest(report: &FleetReport) -> u64 {
@@ -41,7 +31,7 @@ fn fleet_digest(report: &FleetReport) -> u64 {
             all.push_str(&s.events.to_jsonl());
         }
     }
-    digest(&all)
+    fnv1a(&all)
 }
 
 /// Everything about the scenario that is fixed across the policy arms.

@@ -23,7 +23,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use exegpt_faults::{FaultKind, FaultSchedule};
-use exegpt_serve::{Completion, Metrics, MetricsSnapshot, StepOutcome};
+use exegpt_serve::{Completion, MetricId, Metrics, MetricsSnapshot, StepOutcome};
 use exegpt_units::Secs;
 use exegpt_workload::{TenantRequest, TimedRequest};
 use serde::Serialize;
@@ -197,6 +197,8 @@ impl Fleet {
         }
 
         let n = self.specs.len();
+        let mut metrics = Metrics::new();
+        let ids = FleetIds::register(&mut metrics, self.opts.policy, n);
         let mut state = RunState {
             handles: self.specs.into_iter().map(ReplicaHandle::new).collect(),
             router: Router::new(self.opts.policy),
@@ -208,7 +210,10 @@ impl Fleet {
             scheduled: vec![None; n],
             origin: BTreeMap::new(),
             tenants: BTreeMap::new(),
-            metrics: Metrics::new(),
+            metrics,
+            ids,
+            cands: Vec::with_capacity(n),
+            completions: Vec::new(),
             events: FleetEventLog::new(),
             makespan: 0.0,
             dispatched: 0,
@@ -345,6 +350,57 @@ enum Control {
     Ready(usize),
 }
 
+/// One replica's interned metric ids.
+struct ReplicaIds {
+    dispatched: MetricId,
+    completed: MetricId,
+    e2e: MetricId,
+}
+
+/// The fleet's per-request metric names, interned when the run starts so
+/// dispatch and completion accounting write by id. Rare events (losses,
+/// deploys, end-of-run gauges) register their names where they happen.
+struct FleetIds {
+    dispatched: MetricId,
+    /// `dispatched_<policy>`.
+    dispatched_policy: MetricId,
+    rejected: MetricId,
+    /// `rejected_<policy>`.
+    rejected_policy: MetricId,
+    rerouted: MetricId,
+    completed: MetricId,
+    e2e: MetricId,
+    queue_wait: MetricId,
+    dispatch_headroom_bytes: MetricId,
+    dispatch_outstanding: MetricId,
+    /// `replica<i>_{dispatched,completed,e2e}`, indexed by replica.
+    replicas: Vec<ReplicaIds>,
+}
+
+impl FleetIds {
+    fn register(metrics: &mut Metrics, policy: DispatchPolicy, n_replicas: usize) -> Self {
+        Self {
+            dispatched: metrics.register("dispatched"),
+            dispatched_policy: metrics.register(&format!("dispatched_{}", policy.name())),
+            rejected: metrics.register("rejected"),
+            rejected_policy: metrics.register(&format!("rejected_{}", policy.name())),
+            rerouted: metrics.register("rerouted"),
+            completed: metrics.register("completed"),
+            e2e: metrics.register("e2e"),
+            queue_wait: metrics.register("queue_wait"),
+            dispatch_headroom_bytes: metrics.register("dispatch_headroom_bytes"),
+            dispatch_outstanding: metrics.register("dispatch_outstanding"),
+            replicas: (0..n_replicas)
+                .map(|i| ReplicaIds {
+                    dispatched: metrics.register(&format!("replica{i}_dispatched")),
+                    completed: metrics.register(&format!("replica{i}_completed")),
+                    e2e: metrics.register(&format!("replica{i}_e2e")),
+                })
+                .collect(),
+        }
+    }
+}
+
 /// Per-tenant running accounting.
 struct TenantAcc {
     class: u32,
@@ -373,10 +429,17 @@ struct RunState {
     /// exactly what the single-replica loop sees.
     scheduled: Vec<Option<f64>>,
     /// Request id → originating tenant, for completion and reroute
-    /// accounting.
+    /// accounting. Holds in-flight requests only: an entry is removed when
+    /// its completion is accounted or its reroute finds no survivor.
     origin: BTreeMap<u64, u32>,
     tenants: BTreeMap<u32, TenantAcc>,
     metrics: Metrics,
+    ids: FleetIds,
+    /// Dispatch signals of the routable replicas, refilled per routing
+    /// decision.
+    cands: Vec<Candidate>,
+    /// Completions drained from a replica, folded in by `account`.
+    completions: Vec<Completion>,
     events: FleetEventLog,
     makespan: f64,
     dispatched: usize,
@@ -426,21 +489,22 @@ impl RunState {
         self.heap.push(Entry { t, kind: K_CONTROL, replica, seq });
     }
 
-    /// Routable replicas' dispatch signals, ascending replica id.
-    fn candidates(&self) -> Vec<Candidate> {
-        self.handles
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.state.routable())
-            .filter_map(|(i, h)| {
-                h.session.as_ref().map(|s| Candidate {
-                    replica: i,
-                    outstanding: s.outstanding(),
-                    headroom_bytes: s.kv_headroom_bytes(),
-                    plan_latency: s.plan_latency(),
-                })
-            })
-            .collect()
+    /// Refills `cands` with the routable replicas' dispatch signals,
+    /// ascending replica id.
+    fn refresh_candidates(&mut self) {
+        self.cands.clear();
+        self.cands.extend(
+            self.handles.iter().enumerate().filter(|(_, h)| h.state.routable()).filter_map(
+                |(i, h)| {
+                    h.session.as_ref().map(|s| Candidate {
+                        replica: i,
+                        outstanding: s.outstanding(),
+                        headroom_bytes: s.kv_headroom_bytes(),
+                        plan_latency: s.plan_latency(),
+                    })
+                },
+            ),
+        );
     }
 
     fn tenant_entry(&mut self, tenant: u32, class: u32) -> &mut TenantAcc {
@@ -457,21 +521,19 @@ impl RunState {
     /// Routes one fresh arrival.
     fn dispatch(&mut self, r: TenantRequest) {
         let t = r.request.arrival;
-        let cands = self.candidates();
+        self.refresh_candidates();
         let class = &self.classes[r.class as usize];
-        match self.router.choose(class, &cands) {
-            Some(replica) => {
-                let Some(c) = cands.iter().find(|c| c.replica == replica) else { return };
-                let (outstanding, headroom_bytes) = (c.outstanding, c.headroom_bytes);
+        match self.router.choose(class, &self.cands) {
+            Some(&Candidate { replica, outstanding, headroom_bytes, .. }) => {
                 self.dispatched += 1;
                 self.origin.insert(r.request.request.id, r.tenant);
                 self.tenant_entry(r.tenant, r.class).dispatched += 1;
                 self.handles[replica].dispatched += 1;
-                self.metrics.inc("dispatched");
-                self.metrics.inc(&format!("dispatched_{}", self.router.policy().name()));
-                self.metrics.inc(&format!("replica{replica}_dispatched"));
-                self.metrics.observe("dispatch_headroom_bytes", headroom_bytes as f64);
-                self.metrics.observe("dispatch_outstanding", outstanding as f64);
+                self.metrics.inc(self.ids.dispatched);
+                self.metrics.inc(self.ids.dispatched_policy);
+                self.metrics.inc(self.ids.replicas[replica].dispatched);
+                self.metrics.observe(self.ids.dispatch_headroom_bytes, headroom_bytes as f64);
+                self.metrics.observe(self.ids.dispatch_outstanding, outstanding as f64);
                 self.events.push(FleetEvent::Dispatch {
                     t,
                     id: r.request.request.id,
@@ -494,8 +556,8 @@ impl RunState {
             None => {
                 self.rejected += 1;
                 self.tenant_entry(r.tenant, r.class).rejected += 1;
-                self.metrics.inc("rejected");
-                self.metrics.inc(&format!("rejected_{}", self.router.policy().name()));
+                self.metrics.inc(self.ids.rejected);
+                self.metrics.inc(self.ids.rejected_policy);
                 self.events.push(FleetEvent::Reject {
                     t,
                     id: r.request.request.id,
@@ -507,16 +569,16 @@ impl RunState {
 
     /// Wakes replica `rep` to fleet time `t` and steps it once.
     fn step_replica(&mut self, rep: usize, t: f64) -> Result<(), FleetError> {
-        let (outcome, completions, now) = {
+        let (outcome, now) = {
             let h = &mut self.handles[rep];
             let Some(sess) = h.session.as_mut() else { return Ok(()) };
             sess.wake_to(t);
             let outcome = sess.step()?;
-            let completions = sess.take_completions();
-            h.completed += completions.len();
-            (outcome, completions, sess.now())
+            sess.drain_completions(&mut self.completions);
+            h.completed += self.completions.len();
+            (outcome, sess.now())
         };
-        self.account(rep, &completions);
+        self.account(rep);
         match outcome {
             StepOutcome::Progressed => self.schedule_wake(rep, now),
             StepOutcome::Parked { until: Some(w) } => self.schedule_wake(rep, w.max(now)),
@@ -529,17 +591,21 @@ impl RunState {
         Ok(())
     }
 
-    /// Folds a batch of completions into tenant and fleet accounting.
-    fn account(&mut self, rep: usize, completions: &[Completion]) {
-        for c in completions {
+    /// Folds the drained `completions` of replica `rep` into tenant and
+    /// fleet accounting, and empties the buffer.
+    fn account(&mut self, rep: usize) {
+        let replica_ids = &self.ids.replicas[rep];
+        for c in &self.completions {
             self.completed += 1;
             self.makespan = self.makespan.max(c.t);
-            self.metrics.inc("completed");
-            self.metrics.inc(&format!("replica{rep}_completed"));
-            self.metrics.observe("e2e", c.e2e);
-            self.metrics.observe("queue_wait", c.queue_wait);
-            self.metrics.observe(&format!("replica{rep}_e2e"), c.e2e);
-            let Some(&tenant) = self.origin.get(&c.id) else { continue };
+            self.metrics.inc(self.ids.completed);
+            self.metrics.inc(replica_ids.completed);
+            self.metrics.observe(self.ids.e2e, c.e2e);
+            self.metrics.observe(self.ids.queue_wait, c.queue_wait);
+            self.metrics.observe(replica_ids.e2e, c.e2e);
+            // A completed request is never rerouted: its origin entry is
+            // done, which keeps the map to in-flight requests.
+            let Some(tenant) = self.origin.remove(&c.id) else { continue };
             let Some(acc) = self.tenants.get_mut(&tenant) else { continue };
             acc.completed += 1;
             let targets = &self.classes[acc.class as usize].targets;
@@ -547,6 +613,7 @@ impl RunState {
                 targets.check(Secs::new(c.ttft), c.per_token.map(Secs::new), Secs::new(c.e2e));
             acc.slo.record(check);
         }
+        self.completions.clear();
     }
 
     /// Finishes a drained replica's session and retires it.
@@ -557,7 +624,8 @@ impl RunState {
             self.handles[rep].reports.push(report);
         }
         self.handles[rep].state = ReplicaState::Down;
-        self.metrics.inc("scale_downs");
+        let scale_downs = self.metrics.register("scale_downs");
+        self.metrics.inc(scale_downs);
         self.events.push(FleetEvent::ReplicaDown { t, replica: rep });
     }
 
@@ -573,9 +641,11 @@ impl RunState {
                     self.handles[rep].session = Some(self.handles[rep].spec.spawn()?);
                     let ready_at = t + self.handles[rep].spec.deploy_cost();
                     self.handles[rep].state = ReplicaState::Deploying { ready_at };
-                    self.metrics.inc("deploys");
+                    let deploys = self.metrics.register("deploys");
+                    self.metrics.inc(deploys);
                     if matches!(control, Control::ScaleUp(_)) {
-                        self.metrics.inc("scale_ups");
+                        let scale_ups = self.metrics.register("scale_ups");
+                        self.metrics.inc(scale_ups);
                     }
                     self.events.push(FleetEvent::ReplicaDeploying { t, replica: rep, ready_at });
                     self.push_control(ready_at, Control::Ready(rep));
@@ -615,14 +685,15 @@ impl RunState {
     fn lose_replica(&mut self, rep: usize, t: f64) -> Result<(), FleetError> {
         self.cancel_wake(rep);
         let Some(mut sess) = self.handles[rep].session.take() else { return Ok(()) };
-        let completions = sess.take_completions();
-        self.handles[rep].completed += completions.len();
-        self.account(rep, &completions);
+        sess.drain_completions(&mut self.completions);
+        self.handles[rep].completed += self.completions.len();
+        self.account(rep);
         let stranded = sess.extract_queued();
         let report = sess.finish();
         self.handles[rep].reports.push(report);
         self.handles[rep].state = ReplicaState::Lost { at: t };
-        self.metrics.inc("replicas_lost");
+        let replicas_lost = self.metrics.register("replicas_lost");
+        self.metrics.inc(replicas_lost);
         let mut rerouted = 0usize;
         for req in &stranded {
             if self.reroute(*req, rep, t) {
@@ -640,13 +711,13 @@ impl RunState {
         let tenant = self.origin.get(&id).copied();
         let class_idx =
             tenant.and_then(|tn| self.tenants.get(&tn)).map(|acc| acc.class).unwrap_or(0);
-        let cands = self.candidates();
+        self.refresh_candidates();
         let class = &self.classes[class_idx as usize];
-        match self.router.choose(class, &cands) {
-            Some(to) => {
+        match self.router.choose(class, &self.cands) {
+            Some(&Candidate { replica: to, .. }) => {
                 self.rerouted += 1;
-                self.metrics.inc("rerouted");
-                self.metrics.inc(&format!("replica{to}_dispatched"));
+                self.metrics.inc(self.ids.rerouted);
+                self.metrics.inc(self.ids.replicas[to].dispatched);
                 self.handles[to].dispatched += 1;
                 if let Some(tn) = tenant {
                     if let Some(acc) = self.tenants.get_mut(&tn) {
@@ -664,7 +735,9 @@ impl RunState {
             }
             None => {
                 self.lost += 1;
-                self.metrics.inc("requests_lost");
+                self.origin.remove(&id);
+                let requests_lost = self.metrics.register("requests_lost");
+                self.metrics.inc(requests_lost);
                 false
             }
         }
@@ -679,7 +752,8 @@ impl RunState {
             let class = &self.classes[acc.class as usize];
             weighted_violations += class.weight * acc.slo.violations as f64;
             weighted_checked += class.weight * acc.slo.checked as f64;
-            self.metrics.gauge(&format!("tenant{id}_violation_rate"), acc.slo.violation_rate());
+            let violation_rate = self.metrics.register(&format!("tenant{id}_violation_rate"));
+            self.metrics.gauge(violation_rate, acc.slo.violation_rate());
             tenants.push(TenantReport {
                 tenant: *id,
                 class: class.name.clone(),
@@ -692,8 +766,10 @@ impl RunState {
         }
         let weighted_violation_rate =
             if weighted_checked > 0.0 { weighted_violations / weighted_checked } else { 0.0 };
-        self.metrics.gauge("weighted_violation_rate", weighted_violation_rate);
-        self.metrics.gauge("makespan", self.makespan);
+        let weighted = self.metrics.register("weighted_violation_rate");
+        self.metrics.gauge(weighted, weighted_violation_rate);
+        let makespan = self.metrics.register("makespan");
+        self.metrics.gauge(makespan, self.makespan);
         let replicas = self
             .handles
             .into_iter()

@@ -64,70 +64,43 @@ impl Router {
         Self { policy, rr_next: 0 }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> DispatchPolicy {
-        self.policy
-    }
-
     /// Picks the replica for a request of `class` among `candidates`
-    /// (routable replicas in ascending id order). Returns `None` when no
-    /// replica is routable.
-    pub fn choose(&mut self, class: &SloClass, candidates: &[Candidate]) -> Option<usize> {
+    /// (routable replicas in ascending id order) and returns its entry.
+    /// Returns `None` only when no replica is routable. Ties go to the
+    /// lowest replica id: `min_by*` keep the first of equal elements.
+    pub fn choose<'c>(
+        &mut self,
+        class: &SloClass,
+        candidates: &'c [Candidate],
+    ) -> Option<&'c Candidate> {
         if candidates.is_empty() {
             return None;
         }
-        let chosen = match self.policy {
+        match self.policy {
             DispatchPolicy::RoundRobin => {
                 let idx = (self.rr_next % candidates.len() as u64) as usize;
                 self.rr_next = self.rr_next.wrapping_add(1);
-                candidates[idx].replica
+                candidates.get(idx)
             }
-            DispatchPolicy::LeastOutstanding => least_outstanding(candidates)?,
+            DispatchPolicy::LeastOutstanding => candidates.iter().min_by_key(|c| c.outstanding),
             DispatchPolicy::KvHeadroom => {
-                let mut best = candidates.first()?;
-                for c in &candidates[1..] {
-                    if c.headroom_bytes > best.headroom_bytes {
-                        best = c;
-                    }
-                }
-                best.replica
+                candidates.iter().min_by_key(|c| std::cmp::Reverse(c.headroom_bytes))
             }
             DispatchPolicy::SloAware => {
                 // A replica "qualifies" when its plan latency fits the
                 // class's end-to-end budget; an unconstrained class
                 // qualifies everyone.
-                let fits = |c: &Candidate| match class.targets.e2e {
+                let fits = |c: &&Candidate| match class.targets.e2e {
                     Some(bound) => c.plan_latency <= bound.as_secs(),
                     None => true,
                 };
-                let qualified: Vec<Candidate> = candidates.iter().copied().filter(fits).collect();
-                if qualified.is_empty() {
+                candidates.iter().filter(fits).min_by_key(|c| c.outstanding).or_else(|| {
                     // Nothing fits: damage control — the fastest replica.
-                    let mut best = candidates.first()?;
-                    for c in &candidates[1..] {
-                        if c.plan_latency.total_cmp(&best.plan_latency).is_lt() {
-                            best = c;
-                        }
-                    }
-                    best.replica
-                } else {
-                    least_outstanding(&qualified)?
-                }
+                    candidates.iter().min_by(|a, b| a.plan_latency.total_cmp(&b.plan_latency))
+                })
             }
-        };
-        Some(chosen)
-    }
-}
-
-/// Lowest `(outstanding, replica)` candidate.
-fn least_outstanding(candidates: &[Candidate]) -> Option<usize> {
-    let mut best = candidates.first()?;
-    for c in &candidates[1..] {
-        if c.outstanding < best.outstanding {
-            best = c;
         }
     }
-    Some(best.replica)
 }
 
 #[cfg(test)]
@@ -143,24 +116,32 @@ mod tests {
         ]
     }
 
+    /// The chosen replica id, for readable assertions.
+    fn pick(r: &mut Router, class: &SloClass, cands: &[Candidate]) -> Option<usize> {
+        r.choose(class, cands).map(|c| c.replica)
+    }
+
     #[test]
     fn round_robin_cycles_in_id_order() {
         let mut r = Router::new(DispatchPolicy::RoundRobin);
         let batch = SloClass::batch("b");
-        let picks: Vec<_> = (0..6).filter_map(|_| r.choose(&batch, &cands())).collect();
+        let picks: Vec<_> = (0..6).filter_map(|_| pick(&mut r, &batch, &cands())).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn least_outstanding_breaks_ties_on_id() {
         let mut r = Router::new(DispatchPolicy::LeastOutstanding);
-        assert_eq!(r.choose(&SloClass::batch("b"), &cands()), Some(1));
+        assert_eq!(pick(&mut r, &SloClass::batch("b"), &cands()), Some(1));
     }
 
     #[test]
     fn kv_headroom_prefers_the_roomiest() {
         let mut r = Router::new(DispatchPolicy::KvHeadroom);
-        assert_eq!(r.choose(&SloClass::batch("b"), &cands()), Some(1));
+        assert_eq!(pick(&mut r, &SloClass::batch("b"), &cands()), Some(1));
+        // Ties go to the lowest id.
+        let tied = [cands()[2], Candidate { replica: 3, ..cands()[2] }];
+        assert_eq!(pick(&mut r, &SloClass::batch("b"), &tied), Some(2));
     }
 
     #[test]
@@ -168,20 +149,73 @@ mod tests {
         let mut r = Router::new(DispatchPolicy::SloAware);
         // Budget 2s: only replica 2 fits.
         let tight = SloClass::interactive("chat", Secs::new(2.0));
-        assert_eq!(r.choose(&tight, &cands()), Some(2));
+        assert_eq!(pick(&mut r, &tight, &cands()), Some(2));
         // Budget 5s: replicas 0 and 2 fit; 2 has fewer outstanding.
         let mid = SloClass::interactive("qa", Secs::new(5.0));
-        assert_eq!(r.choose(&mid, &cands()), Some(2));
+        assert_eq!(pick(&mut r, &mid, &cands()), Some(2));
         // Budget 1s: nothing fits; the fastest (2) takes it.
         let impossible = SloClass::interactive("rt", Secs::new(1.0));
-        assert_eq!(r.choose(&impossible, &cands()), Some(2));
+        assert_eq!(pick(&mut r, &impossible, &cands()), Some(2));
         // Unconstrained: plain least-outstanding (tie → lowest id).
-        assert_eq!(r.choose(&SloClass::batch("b"), &cands()), Some(1));
+        assert_eq!(pick(&mut r, &SloClass::batch("b"), &cands()), Some(1));
+    }
+
+    /// Every policy returns an element *of the slice it was given*, so a
+    /// caller can never be handed a replica it has no candidate for.
+    fn assert_choice_is_in_slice(policy: DispatchPolicy) {
+        let mut r = Router::new(policy);
+        let classes = [
+            SloClass::batch("b"),
+            SloClass::interactive("chat", Secs::new(2.0)),
+            SloClass::interactive("rt", Secs::new(1.0)),
+        ];
+        let all = cands();
+        for n in 1..=all.len() {
+            // Non-contiguous ids too: the replica id is not an index.
+            for slice in [&all[..n], &all[all.len() - n..]] {
+                for class in &classes {
+                    for _ in 0..n {
+                        let c = r.choose(class, slice).expect("a non-empty slice is routable");
+                        assert!(
+                            slice.iter().any(|s| std::ptr::eq(s, c)),
+                            "{policy:?} returned a candidate outside the slice"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_robin_choice_is_in_the_slice() {
+        assert_choice_is_in_slice(DispatchPolicy::RoundRobin);
+    }
+
+    #[test]
+    fn least_outstanding_choice_is_in_the_slice() {
+        assert_choice_is_in_slice(DispatchPolicy::LeastOutstanding);
+    }
+
+    #[test]
+    fn kv_headroom_choice_is_in_the_slice() {
+        assert_choice_is_in_slice(DispatchPolicy::KvHeadroom);
+    }
+
+    #[test]
+    fn slo_aware_choice_is_in_the_slice() {
+        assert_choice_is_in_slice(DispatchPolicy::SloAware);
     }
 
     #[test]
     fn empty_candidate_list_is_unroutable() {
-        let mut r = Router::new(DispatchPolicy::SloAware);
-        assert_eq!(r.choose(&SloClass::batch("b"), &[]), None);
+        for policy in [
+            DispatchPolicy::RoundRobin,
+            DispatchPolicy::LeastOutstanding,
+            DispatchPolicy::KvHeadroom,
+            DispatchPolicy::SloAware,
+        ] {
+            let mut r = Router::new(policy);
+            assert!(r.choose(&SloClass::batch("b"), &[]).is_none());
+        }
     }
 }

@@ -34,14 +34,13 @@
 
 pub mod arbitrary;
 pub mod decode;
-mod digest;
 mod error;
 mod lower;
 pub mod schema;
 pub mod toml;
 
-pub use digest::{fnv1a, format_digest};
 pub use error::ScenarioError;
+pub use exegpt_dist::digest::{fnv1a, format_digest};
 pub use lower::{
     lower, lower_cluster, lower_model, lower_scheduler, lower_workload, run, FleetLowered, Lowered,
     Outcome, ReplayLowered, Report, ServeLowered,

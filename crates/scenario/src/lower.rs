@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 
 use exegpt::{Engine, Schedule, SchedulerOptions};
 use exegpt_cluster::ClusterSpec;
+use exegpt_dist::digest::{fnv1a, format_digest};
 use exegpt_dist::LengthDist;
 use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
 use exegpt_fleet::{
@@ -33,7 +34,6 @@ use exegpt_workload::{
     TenantSpec, TimedRequest,
 };
 
-use crate::digest::{fnv1a, format_digest};
 use crate::error::ScenarioError;
 use crate::schema::{
     ArrivalsConfig, ClusterConfig, E2eSpec, FaultKindConfig, FaultsConfig, FleetConfig,

@@ -9,6 +9,7 @@
 
 use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
+use exegpt_dist::digest::fnv1a;
 use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
 use exegpt_model::ModelConfig;
 use exegpt_serve::{
@@ -16,17 +17,6 @@ use exegpt_serve::{
 };
 use exegpt_units::Secs;
 use exegpt_workload::{PoissonStream, Task, TimedRequest};
-
-/// FNV-1a over the JSONL event log: a stable, dependency-free digest two
-/// runs (or two CI machines) can compare.
-fn digest(jsonl: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in jsonl.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn serve(
     engine: &Engine,
@@ -122,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Byte-determinism: an identical replay produces an identical log.
     assert_eq!(jsonl, replay.events.to_jsonl(), "replay must be byte-identical");
-    println!("event-log digest: {:016x} ({} events)", digest(&jsonl), report.events.len());
+    println!("event-log digest: {:016x} ({} events)", fnv1a(&jsonl), report.events.len());
     println!("faults-smoke OK");
     Ok(())
 }

@@ -69,7 +69,7 @@ pub use drift::{DriftCheck, DriftDetector, DriftOptions};
 pub use error::ServeError;
 pub use events::{Event, EventLog};
 pub use faults::{FaultDriver, FaultFactors, FaultOptions, StragglerDetector, StragglerOptions};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{MetricId, Metrics, MetricsSnapshot};
 pub use server::{
     Completion, ReplicaSession, ReplicaStep, ServeLoop, ServeOptions, ServeReport, StepOutcome,
 };

@@ -1,23 +1,40 @@
 //! The serving loop's metrics registry.
 //!
-//! Counters, gauges and latency histograms keyed by name, with summaries
+//! Counters, gauges and latency histograms, with summaries
 //! (mean/p50/p95/p99/max) computed through the shared
 //! [`exegpt_dist::stats::summary`] helper — the same percentile code the
 //! offline runner reports use, so online and offline numbers agree by
 //! construction.
+//!
+//! Names are interned: [`Metrics::register`] maps a name to a small
+//! [`MetricId`] once, off the hot path, and every write goes by id into
+//! flat slot vectors — no string compare, no allocation. The snapshot
+//! renders the same name-sorted maps a string-keyed registry would.
 
 use std::collections::BTreeMap;
 
 use exegpt_dist::stats::{self, Summary};
 use serde::Serialize;
 
+/// An interned metric name: an index into the registry that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricId(usize);
+
 /// In-memory metrics registry: monotonic counters, last-write-wins gauges
-/// and raw-sample histograms.
+/// and raw-sample histograms, each addressed by a [`MetricId`].
+///
+/// One id names a counter, a gauge and a histogram at once; a kind shows
+/// up in the [`snapshot`](Self::snapshot) only once it has been written.
+/// Ids are only meaningful for the registry that issued them: using
+/// another registry's id panics (out of range) or writes the wrong slot.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Vec<f64>>,
+    /// Name → id, in name order (the snapshot's rendering order).
+    ids: BTreeMap<String, MetricId>,
+    /// Per-id slots; `None` until first written.
+    counters: Vec<Option<u64>>,
+    gauges: Vec<Option<f64>>,
+    histograms: Vec<Vec<f64>>,
 }
 
 impl Metrics {
@@ -26,59 +43,83 @@ impl Metrics {
         Self::default()
     }
 
-    /// Increments counter `name` by 1.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
+    /// The id of metric `name`, interning it on first use. Registering
+    /// writes nothing: the name stays out of the snapshot until one of
+    /// its slots is written.
+    pub fn register(&mut self, name: &str) -> MetricId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = MetricId(self.counters.len());
+        self.ids.insert(name.to_owned(), id);
+        self.counters.push(None);
+        self.gauges.push(None);
+        self.histograms.push(Vec::new());
+        id
     }
 
-    /// Increments counter `name` by `n`.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
+    /// Increments counter `id` by 1.
+    pub fn inc(&mut self, id: MetricId) {
+        self.add(id, 1);
     }
 
-    /// Sets gauge `name` to `value`.
-    pub fn gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+    /// Increments counter `id` by `n` (`n == 0` still creates it).
+    pub fn add(&mut self, id: MetricId, n: u64) {
+        let slot = &mut self.counters[id.0];
+        *slot = Some(slot.unwrap_or(0) + n);
     }
 
-    /// Records one sample into histogram `name`.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms.entry(name.to_owned()).or_default().push(value);
+    /// Sets gauge `id` to `value`.
+    pub fn gauge(&mut self, id: MetricId, value: f64) {
+        self.gauges[id.0] = Some(value);
     }
 
-    /// Current value of counter `name` (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// Records one sample into histogram `id`.
+    pub fn observe(&mut self, id: MetricId, value: f64) {
+        self.histograms[id.0].push(value);
     }
 
-    /// Current value of gauge `name`.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+    /// Current value of counter `id` (0 if never incremented).
+    pub fn counter(&self, id: MetricId) -> u64 {
+        self.counters[id.0].unwrap_or(0)
     }
 
-    /// Raw samples of histogram `name`.
-    pub fn samples(&self, name: &str) -> &[f64] {
-        self.histograms.get(name).map(Vec::as_slice).unwrap_or(&[])
+    /// Current value of gauge `id`.
+    pub fn gauge_value(&self, id: MetricId) -> Option<f64> {
+        self.gauges[id.0]
     }
 
-    /// Summary statistics of histogram `name` (`None` if empty/absent).
-    pub fn summary(&self, name: &str) -> Option<Summary> {
-        stats::summary(self.samples(name))
+    /// Raw samples of histogram `id`.
+    pub fn samples(&self, id: MetricId) -> &[f64] {
+        &self.histograms[id.0]
+    }
+
+    /// Summary statistics of histogram `id` (`None` if empty).
+    pub fn summary(&self, id: MetricId) -> Option<Summary> {
+        stats::summary(self.samples(id))
     }
 
     /// An immutable, serializable snapshot: histograms are collapsed to
     /// their summaries. Map-backed, so the rendering order (and the JSON
     /// byte stream) is deterministic.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            summaries: self
-                .histograms
-                .iter()
-                .filter_map(|(k, v)| stats::summary(v).map(|s| (k.clone(), s)))
-                .collect(),
+        let mut snap = MetricsSnapshot {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            summaries: BTreeMap::new(),
+        };
+        for (name, &MetricId(i)) in &self.ids {
+            if let Some(v) = self.counters[i] {
+                snap.counters.insert(name.clone(), v);
+            }
+            if let Some(v) = self.gauges[i] {
+                snap.gauges.insert(name.clone(), v);
+            }
+            if let Some(s) = stats::summary(&self.histograms[i]) {
+                snap.summaries.insert(name.clone(), s);
+            }
         }
+        snap
     }
 }
 
@@ -120,28 +161,55 @@ mod tests {
     #[test]
     fn counters_gauges_histograms_round_trip() {
         let mut m = Metrics::new();
-        m.inc("completions");
-        m.add("completions", 2);
-        m.gauge("queue_depth", 7.0);
+        let completions = m.register("completions");
+        let queue_depth = m.register("queue_depth");
+        let e2e = m.register("e2e");
+        let missing = m.register("missing");
+        assert_eq!(m.register("completions"), completions, "ids are interned");
+        m.inc(completions);
+        m.add(completions, 2);
+        m.gauge(queue_depth, 7.0);
         for i in 1..=100 {
-            m.observe("e2e", i as f64);
+            m.observe(e2e, i as f64);
         }
-        assert_eq!(m.counter("completions"), 3);
-        assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.gauge_value("queue_depth"), Some(7.0));
-        let s = m.summary("e2e").expect("non-empty");
+        assert_eq!(m.counter(completions), 3);
+        assert_eq!(m.counter(missing), 0);
+        assert_eq!(m.gauge_value(queue_depth), Some(7.0));
+        assert_eq!(m.gauge_value(missing), None);
+        let s = m.summary(e2e).expect("non-empty");
         assert_eq!(s.count, 100);
         assert_eq!(s.p50, 50.0);
         assert_eq!(s.p99, 99.0);
-        assert!(m.summary("missing").is_none());
+        assert!(m.summary(missing).is_none());
+    }
+
+    #[test]
+    fn only_written_slots_reach_the_snapshot() {
+        let mut m = Metrics::new();
+        let unused = m.register("unused");
+        let zero = m.register("zero");
+        let both = m.register("both");
+        m.add(zero, 0);
+        m.inc(both);
+        m.gauge(both, 1.5);
+        let snap = m.snapshot();
+        assert_eq!(snap.counters.keys().collect::<Vec<_>>(), ["both", "zero"]);
+        assert_eq!(snap.counters["zero"], 0, "add(x, 0) still creates the key");
+        assert_eq!(snap.gauges.keys().collect::<Vec<_>>(), ["both"]);
+        assert!(snap.summaries.is_empty());
+        assert_eq!(m.counter(unused), 0);
     }
 
     #[test]
     fn snapshot_is_deterministic_and_serializable() {
         let mut m = Metrics::new();
-        m.inc("b");
-        m.inc("a");
-        m.observe("lat", 1.0);
+        // Registered out of name order: the snapshot still sorts by name.
+        let b = m.register("b");
+        let a = m.register("a");
+        let lat = m.register("lat");
+        m.inc(b);
+        m.inc(a);
+        m.observe(lat, 1.0);
         let snap = m.snapshot();
         let j1 = serde_json::to_string(&snap).expect("serializes");
         let j2 = serde_json::to_string(&m.snapshot()).expect("serializes");

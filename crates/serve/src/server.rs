@@ -28,7 +28,7 @@ use crate::drift::{DriftDetector, DriftOptions};
 use crate::error::ServeError;
 use crate::events::{Event, EventLog};
 use crate::faults::{FaultDriver, FaultFactors, FaultOptions, StragglerDetector};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{MetricId, Metrics, MetricsSnapshot};
 use crate::slo::{SloOutcome, SloTargets};
 
 /// Configuration of a [`ServeLoop`].
@@ -233,6 +233,56 @@ struct Scratch {
     ids: Vec<u64>,
 }
 
+/// Declares [`MetricIds`]: one interned id per serving-loop metric, each
+/// field named after the metric it writes.
+macro_rules! metric_ids {
+    ($($name:ident),* $(,)?) => {
+        /// The serving loop's metric names, interned once per session so
+        /// every write in the loop goes by id.
+        #[derive(Debug, Clone, Copy)]
+        struct MetricIds {
+            $($name: MetricId,)*
+        }
+
+        impl MetricIds {
+            fn register(metrics: &mut Metrics) -> Self {
+                Self { $($name: metrics.register(stringify!($name)),)* }
+            }
+        }
+    };
+}
+
+metric_ids!(
+    arrivals,
+    admitted,
+    rounds,
+    encode_phases,
+    decode_iters,
+    completions,
+    ttft,
+    e2e,
+    queue_wait,
+    per_token,
+    queue_depth,
+    pool_size,
+    drift_checks,
+    refit_mean,
+    reschedules,
+    reschedule_failures,
+    plan_swaps,
+    swap_cost_total,
+    kv_peak_bytes,
+    faults_injected,
+    faults_detected,
+    stragglers_detected,
+    replans,
+    replan_failures,
+    incremental_replans,
+    replan_fallbacks,
+    retries,
+    requests_lost,
+);
+
 /// The online serving engine.
 ///
 /// Owns a warm [`Engine`] (profile + evaluation caches) and the
@@ -338,7 +388,7 @@ impl ServeLoop {
     /// come from [`ReplicaSession::inject`] instead of an owned stream, and
     /// an external event loop drives [`ReplicaSession::step`], waking the
     /// session with [`ReplicaSession::wake_to`]. Completed requests are
-    /// exposed through [`ReplicaSession::take_completions`] for fleet-level
+    /// exposed through [`ReplicaSession::drain_completions`] for fleet-level
     /// (per-tenant) SLO accounting.
     ///
     /// # Errors
@@ -370,6 +420,8 @@ impl ServeLoop {
         let kv = self.exec.kv_tracker();
         let scheduled_b_d = self.exec.scheduled_decode_batch();
         let detector = DriftDetector::new(self.opts.drift);
+        let mut metrics = Metrics::new();
+        let ids = MetricIds::register(&mut metrics);
         Ok(ReplicaSession {
             engine: self.engine,
             exec: self.exec,
@@ -385,7 +437,8 @@ impl ServeLoop {
             pending: Vec::new(),
             pool: Vec::new(),
             t: 0.0,
-            metrics: Metrics::new(),
+            metrics,
+            ids,
             events: EventLog::new(),
             slo_out: SloOutcome::default(),
             detector,
@@ -479,8 +532,9 @@ pub trait ReplicaStep {
     /// The installed plan's estimated per-request latency (seconds) — the
     /// router signal for SLO-aware dispatch.
     fn plan_latency(&self) -> f64;
-    /// Drains completions recorded since the last call.
-    fn take_completions(&mut self) -> Vec<Completion>;
+    /// Moves completions recorded since the last call onto the end of
+    /// `out`, keeping both buffers' capacity for reuse.
+    fn drain_completions(&mut self, out: &mut Vec<Completion>);
     /// Drains every queued and in-flight request (for rerouting when the
     /// replica is lost): pending queue, pool (KV released; generation
     /// restarts elsewhere), retry queue, then inbox. Original arrival
@@ -521,6 +575,7 @@ pub struct ReplicaSession {
     pool: Vec<InFlight>,
     t: f64,
     metrics: Metrics,
+    ids: MetricIds,
     events: EventLog,
     slo_out: SloOutcome,
     detector: DriftDetector,
@@ -590,10 +645,12 @@ impl ReplicaSession {
         self.exec.estimate().latency.as_secs()
     }
 
-    /// Drains completions recorded since the last call (fleet mode; empty
-    /// unless the session was created by [`ServeLoop::into_replica`]).
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.outbox)
+    /// Moves completions recorded since the last call onto the end of
+    /// `out` (fleet mode; nothing unless the session was created by
+    /// [`ServeLoop::into_replica`]). Both buffers keep their capacity, so
+    /// a router draining every step stops allocating once warm.
+    pub fn drain_completions(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.outbox);
     }
 
     /// Drains every queued and in-flight request for rerouting: pending,
@@ -634,7 +691,7 @@ impl ReplicaSession {
                 None => Vec::new(),
             };
             for e in fired {
-                self.metrics.inc("faults_injected");
+                self.metrics.inc(self.ids.faults_injected);
                 self.events.push(Event::Fault { t: e.t, desc: e.kind.to_string() });
             }
             let matured = match self.driver.as_mut() {
@@ -645,7 +702,7 @@ impl ReplicaSession {
                 // Pay the rest of the heartbeat window if the phase
                 // boundary arrived before the timeout elapsed.
                 self.t = self.t.max(t_d);
-                self.metrics.inc("faults_detected");
+                self.metrics.inc(self.ids.faults_detected);
                 self.events.push(Event::FaultDetected { t: self.t, gpu, aborted: self.pool.len() });
                 // The failed device held a KV shard for every in-flight
                 // query: abort them all into the retry queue.
@@ -658,6 +715,7 @@ impl ReplicaSession {
                         fo,
                         self.t,
                         &mut self.metrics,
+                        &self.ids,
                         &mut self.events,
                     );
                 }
@@ -696,7 +754,7 @@ impl ReplicaSession {
                 new_kv.admit_unchecked(a.req.id, a.req.input_len + a.progress);
             }
             self.events.push(Event::PlanSwap { t: self.t, cost, migrated: self.pool.len() });
-            self.metrics.inc("plan_swaps");
+            self.metrics.inc(self.ids.plan_swaps);
             self.swap_cost_total += cost;
             self.exec = new_exec;
             self.kv = new_kv;
@@ -723,7 +781,7 @@ impl ReplicaSession {
                     input_len: r.request.input_len,
                     output_len: r.request.output_len,
                 });
-                self.metrics.inc("arrivals");
+                self.metrics.inc(self.ids.arrivals);
                 self.pending.push(*r);
                 upcoming.next();
             }
@@ -736,7 +794,7 @@ impl ReplicaSession {
                     input_len: r.request.input_len,
                     output_len: r.request.output_len,
                 });
-                self.metrics.inc("arrivals");
+                self.metrics.inc(self.ids.arrivals);
                 self.pending.push(r);
             }
         }
@@ -769,7 +827,7 @@ impl ReplicaSession {
                 i += 1;
                 keep
             });
-            self.metrics.add("admitted", self.scratch.admitted.len() as u64);
+            self.metrics.add(self.ids.admitted, self.scratch.admitted.len() as u64);
         }
 
         if self.scratch.admitted.is_empty() && self.pool.is_empty() {
@@ -883,7 +941,7 @@ impl ReplicaSession {
                 // pooled, so growth must stay per-id here.
                 advance(&mut self.pool, &mut self.kv, self.t, &mut self.scratch.done, true);
             }
-            self.metrics.inc("rounds");
+            self.metrics.inc(self.ids.rounds);
             self.events.push(Event::Round {
                 t_start,
                 t_end: self.t,
@@ -909,7 +967,7 @@ impl ReplicaSession {
                 self.t += dt * factors.dilation;
                 phase_base += dt;
                 phase_actual += dt * factors.dilation;
-                self.metrics.inc("encode_phases");
+                self.metrics.inc(self.ids.encode_phases);
                 self.events.push(Event::Encode {
                     t_start,
                     t_end: self.t,
@@ -946,7 +1004,7 @@ impl ReplicaSession {
                 self.kv.grow_all(1);
                 advance(&mut self.pool, &mut self.kv, self.t, &mut self.scratch.done, false);
             }
-            self.metrics.add("decode_iters", iters as u64);
+            self.metrics.add(self.ids.decode_iters, iters as u64);
             self.events.push(Event::Decode {
                 t_start,
                 t_end: self.t,
@@ -965,7 +1023,7 @@ impl ReplicaSession {
                 // possibly evicted).
                 if let Some((gpu, factor)) = drv.worst_slowed_gpu() {
                     let evict = factor >= fo.evict_slowdown;
-                    self.metrics.inc("stragglers_detected");
+                    self.metrics.inc(self.ids.stragglers_detected);
                     self.events.push(Event::StragglerDetected {
                         t: self.t,
                         gpu,
@@ -985,12 +1043,12 @@ impl ReplicaSession {
         let scheduled_mean = self.exec.simulator().workload().output().mean();
         let mut drift_declared = false;
         for d in &self.scratch.done {
-            self.metrics.inc("completions");
-            self.metrics.observe("ttft", d.ttft);
-            self.metrics.observe("e2e", d.e2e);
-            self.metrics.observe("queue_wait", d.queue_wait);
+            self.metrics.inc(self.ids.completions);
+            self.metrics.observe(self.ids.ttft, d.ttft);
+            self.metrics.observe(self.ids.e2e, d.e2e);
+            self.metrics.observe(self.ids.queue_wait, d.queue_wait);
             if let Some(pt) = d.per_token {
-                self.metrics.observe("per_token", pt);
+                self.metrics.observe(self.ids.per_token, pt);
             }
             let check = self.opts.slo.check(
                 Secs::new(d.ttft),
@@ -1017,7 +1075,7 @@ impl ReplicaSession {
                 });
             }
             if let Some(c) = self.detector.observe(d.out_len, scheduled_mean) {
-                self.metrics.inc("drift_checks");
+                self.metrics.inc(self.ids.drift_checks);
                 self.events.push(Event::DriftCheck {
                     t: d.t,
                     window_mean: c.window_mean,
@@ -1028,8 +1086,8 @@ impl ReplicaSession {
                 drift_declared |= c.drifted;
             }
         }
-        self.metrics.gauge("queue_depth", self.pending.len() as f64);
-        self.metrics.gauge("pool_size", self.pool.len() as f64);
+        self.metrics.gauge(self.ids.queue_depth, self.pending.len() as f64);
+        self.metrics.gauge(self.ids.pool_size, self.pool.len() as f64);
 
         // ---- Live reschedule on declared drift --------------------------
         if drift_declared && self.opts.adaptive && self.pending_swap.is_none() {
@@ -1044,30 +1102,30 @@ impl ReplicaSession {
         let completed = self.slo_out.checked;
         let makespan = self.last_completion;
         let throughput = if makespan > 0.0 { completed as f64 / makespan } else { 0.0 };
-        self.metrics.gauge("swap_cost_total", self.swap_cost_total);
-        self.metrics.gauge("kv_peak_bytes", self.peak_kv as f64);
+        self.metrics.gauge(self.ids.swap_cost_total, self.swap_cost_total);
+        self.metrics.gauge(self.ids.kv_peak_bytes, self.peak_kv as f64);
         ServeReport {
             completed,
             tokens_generated: self.tokens,
             makespan,
             throughput,
-            ttft: self.metrics.summary("ttft"),
-            per_token: self.metrics.summary("per_token"),
-            e2e: self.metrics.summary("e2e"),
-            queue_wait: self.metrics.summary("queue_wait"),
+            ttft: self.metrics.summary(self.ids.ttft),
+            per_token: self.metrics.summary(self.ids.per_token),
+            e2e: self.metrics.summary(self.ids.e2e),
+            queue_wait: self.metrics.summary(self.ids.queue_wait),
             slo: self.slo_out,
-            drift_checks: self.metrics.counter("drift_checks") as usize,
-            reschedules: self.metrics.counter("reschedules") as usize,
-            plan_swaps: self.metrics.counter("plan_swaps") as usize,
+            drift_checks: self.metrics.counter(self.ids.drift_checks) as usize,
+            reschedules: self.metrics.counter(self.ids.reschedules) as usize,
+            plan_swaps: self.metrics.counter(self.ids.plan_swaps) as usize,
             swap_cost: self.swap_cost_total,
-            faults_injected: self.metrics.counter("faults_injected") as usize,
-            faults_detected: self.metrics.counter("faults_detected") as usize,
-            stragglers_detected: self.metrics.counter("stragglers_detected") as usize,
-            replans: self.metrics.counter("replans") as usize,
-            incremental_replans: self.metrics.counter("incremental_replans") as usize,
-            replan_fallbacks: self.metrics.counter("replan_fallbacks") as usize,
-            retries: self.metrics.counter("retries") as usize,
-            requests_lost: self.metrics.counter("requests_lost") as usize,
+            faults_injected: self.metrics.counter(self.ids.faults_injected) as usize,
+            faults_detected: self.metrics.counter(self.ids.faults_detected) as usize,
+            stragglers_detected: self.metrics.counter(self.ids.stragglers_detected) as usize,
+            replans: self.metrics.counter(self.ids.replans) as usize,
+            incremental_replans: self.metrics.counter(self.ids.incremental_replans) as usize,
+            replan_fallbacks: self.metrics.counter(self.ids.replan_fallbacks) as usize,
+            retries: self.metrics.counter(self.ids.retries) as usize,
+            requests_lost: self.metrics.counter(self.ids.requests_lost) as usize,
             final_schedule: self.exec.schedule().describe(),
             metrics: self.metrics.snapshot(),
             events: self.events,
@@ -1088,7 +1146,7 @@ impl ReplicaSession {
                     self.exec.simulator().workload().input().clone(),
                     refit.dist.clone(),
                 );
-                self.metrics.gauge("refit_mean", refit.dist.mean());
+                self.metrics.gauge(self.ids.refit_mean, refit.dist.mean());
                 match self.opts.incremental_replan.then(|| self.last_plan.clone()).flatten() {
                     Some(inc) => {
                         match self.engine.reschedule_incremental(
@@ -1096,7 +1154,7 @@ impl ReplicaSession {
                             &inc,
                             &self.opts.scheduler,
                         ) {
-                            Ok(replan) => Ok(track_replan(replan, &mut self.metrics)),
+                            Ok(replan) => Ok(track_replan(replan, &mut self.metrics, &self.ids)),
                             Err(e) => Err(ServeError::from(e)),
                         }
                     }
@@ -1112,7 +1170,7 @@ impl ReplicaSession {
             Ok(schedule) => {
                 self.workload_refit = true;
                 self.last_plan = Some(schedule.clone());
-                self.metrics.inc("reschedules");
+                self.metrics.inc(self.ids.reschedules);
                 self.events.push(Event::Reschedule {
                     t: self.t,
                     from: self.exec.schedule().describe(),
@@ -1125,7 +1183,7 @@ impl ReplicaSession {
                 Some(schedule.config)
             }
             Err(e) => {
-                self.metrics.inc("reschedule_failures");
+                self.metrics.inc(self.ids.reschedule_failures);
                 self.events.push(Event::RescheduleFailed { t: self.t, why: e.to_string() });
                 None
             }
@@ -1162,7 +1220,7 @@ impl ReplicaSession {
                         ReplanDelta { gpu_delta: gpus as isize - old, workload_changed: false };
                     engine
                         .replan_from(&inc, delta, &self.opts.scheduler)
-                        .map(|replan| track_replan(replan, &mut self.metrics))
+                        .map(|replan| track_replan(replan, &mut self.metrics, &self.ids))
                 }
                 None => engine.schedule_with(&self.opts.scheduler),
             };
@@ -1178,7 +1236,7 @@ impl ReplicaSession {
                     evals: 0,
                     cache_hits: 0,
                 });
-                self.metrics.inc("replans");
+                self.metrics.inc(self.ids.replans);
                 self.events.push(Event::Replan {
                     t: self.t,
                     reason: reason.into(),
@@ -1189,7 +1247,7 @@ impl ReplicaSession {
                 Ok(Some(PendingSwap { cfg, engine: Some(engine) }))
             }
             Err(e) => {
-                self.metrics.inc("replan_failures");
+                self.metrics.inc(self.ids.replan_failures);
                 self.events.push(Event::ReplanFailed { t: self.t, why: e.to_string() });
                 if failover {
                     Err(ServeError::Failover { survivors: gpus, why: e.to_string() })
@@ -1232,8 +1290,8 @@ impl ReplicaStep for ReplicaSession {
         ReplicaSession::plan_latency(self)
     }
 
-    fn take_completions(&mut self) -> Vec<Completion> {
-        ReplicaSession::take_completions(self)
+    fn drain_completions(&mut self, out: &mut Vec<Completion>) {
+        ReplicaSession::drain_completions(self, out)
     }
 
     fn extract_queued(&mut self) -> Vec<TimedRequest> {
@@ -1248,8 +1306,8 @@ impl ReplicaStep for ReplicaSession {
 /// Records whether an incremental replan held or fell back. Counters only:
 /// the event log must stay byte-identical to the full-search path, and the
 /// chosen plan already is.
-fn track_replan(replan: Replan, metrics: &mut Metrics) -> Schedule {
-    metrics.inc(if replan.fell_back { "replan_fallbacks" } else { "incremental_replans" });
+fn track_replan(replan: Replan, metrics: &mut Metrics, ids: &MetricIds) -> Schedule {
+    metrics.inc(if replan.fell_back { ids.replan_fallbacks } else { ids.incremental_replans });
     replan.schedule
 }
 
@@ -1265,6 +1323,7 @@ fn abort_pool(
     fo: &FaultOptions,
     t: f64,
     metrics: &mut Metrics,
+    ids: &MetricIds,
     events: &mut EventLog,
 ) {
     for a in pool.drain(..) {
@@ -1273,10 +1332,10 @@ fn abort_pool(
         *n += 1;
         let attempt = *n;
         if attempt > fo.max_retries {
-            metrics.inc("requests_lost");
+            metrics.inc(ids.requests_lost);
             events.push(Event::RequestLost { t, id: a.req.id, attempts: attempt });
         } else {
-            metrics.inc("retries");
+            metrics.inc(ids.retries);
             let eligible_at = t + fo.backoff_base * 2.0f64.powi(attempt as i32 - 1);
             events.push(Event::RequestRetry { t, id: a.req.id, attempt, eligible_at });
             // Original arrival is kept: TTFT/E2E latency of a retried

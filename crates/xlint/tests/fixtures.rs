@@ -311,6 +311,17 @@ fn d4_fixture_flags_nondeterministic_flows_into_sinks() {
 }
 
 #[test]
+fn d4_fixture_still_sees_metric_writes_by_interned_id() {
+    // Metrics are written by interned `MetricId` rather than by name: the
+    // wall-clock value reaching `metrics.observe(id, dt)` — through a
+    // pre-registered id field or a freshly registered id — is still a D4
+    // sink, while the virtual-time write stays clean.
+    let report = lint_fixture_as("d4_metric_id.rs", "crates/serve/src/fixture.rs");
+    assert_eq!(rule_lines(&report, Rule::D2), vec![2, 8], "{:?}", report.findings);
+    assert_eq!(rule_lines(&report, Rule::D4), vec![4, 9], "{:?}", report.findings);
+}
+
+#[test]
 fn u3_fixture_flags_cross_unit_reentry_only() {
     let report = lint_fixture_as("u3.rs", "crates/runner/src/fixture.rs");
     // Cross-unit re-entry (secs-stripped into `Bytes::new`, a `_bytes`
