@@ -14,6 +14,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --offline --release
 
+echo "==> cargo build --release (perfbench)"
+# perfbench/ is a workspace of its own, so the workspace build and tests
+# above never compile it; build it here so a library API change cannot
+# break the benchmark unseen.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "==> xlint (workspace determinism + unit-safety lint)"
 # Archive the machine-readable report as a build artifact; the human run
 # below is the gate proper (non-zero on any finding).

@@ -116,14 +116,11 @@ impl GridPlan {
     }
 
     /// KV bytes per cached token on the bottleneck GPU.
-    pub(crate) fn kv_bytes_per_token(&self, sim: &Simulator) -> f64 {
-        let worst = self
-            .dec_alloc
-            .iter()
-            .zip(self.layout.stages())
-            .map(|(&l, s)| l as f64 / s.tp as f64)
-            .fold(0.0f64, f64::max);
-        sim.model().kv_bytes_per_token_per_layer() as f64 * worst
+    pub(crate) fn kv_bytes_per_token(&self, sim: &Simulator) -> u64 {
+        self.layout.bottleneck_kv_bytes_per_token(
+            &self.dec_alloc,
+            sim.model().kv_bytes_per_token_per_layer(),
+        )
     }
 }
 

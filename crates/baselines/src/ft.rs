@@ -77,7 +77,7 @@ impl FasterTransformer {
         // Memory: up-front reservation for input + max output.
         let kv_per_token = self.plan.kv_bytes_per_token(&self.sim);
         let params = self.plan.param_bytes_per_gpu(&self.sim);
-        let kv_needed = (batch as f64 * (mean_in + s_max as f64) * kv_per_token) as u64;
+        let kv_needed = (batch as f64 * (mean_in + s_max as f64) * kv_per_token as f64) as u64;
         let capacity = self.sim.usable_capacity();
         if params + kv_needed > capacity {
             return Err(SimError::OutOfMemory {

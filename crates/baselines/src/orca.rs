@@ -123,7 +123,7 @@ impl Orca {
                 (held / page_tokens as f64).ceil() * page_tokens as f64
             }
         };
-        let kv_needed = (batch as f64 * per_query_tokens * kv_per_token) as u64;
+        let kv_needed = (batch as f64 * per_query_tokens * kv_per_token as f64) as u64;
         let capacity = self.sim.usable_capacity();
         if params + kv_needed > capacity {
             return Err(SimError::OutOfMemory {

@@ -76,7 +76,7 @@ fn print_ablations() {
         ("incremental", ReservePolicy::Incremental),
         ("paged(16)", ReservePolicy::Paged { page_tokens: 16 }),
     ] {
-        let mut kv = KvTracker::new(1.0, u64::MAX >> 1, policy);
+        let mut kv = KvTracker::new(1, u64::MAX >> 1, policy);
         for id in 0..256u64 {
             let _ = kv.try_admit(id, 128, 320);
             let _ = kv.grow(id, 128);

@@ -62,7 +62,7 @@ pub struct PhaseExecutor {
     sim: Simulator,
     variant: Variant,
     estimate: Estimate,
-    bytes_per_token: f64,
+    bytes_per_token: u64,
     kv_capacity: u64,
 }
 
@@ -92,21 +92,12 @@ impl PhaseExecutor {
 
         // KV accounting on the bottleneck decode GPU (most decode layers
         // per TP rank).
-        let worst_layers = match &variant {
-            Variant::Rra { plan, .. } => plan
-                .dec_alloc
-                .iter()
-                .zip(plan.layout.stages())
-                .map(|(&l, s)| l as f64 / s.tp as f64)
-                .fold(0.0f64, f64::max),
-            Variant::Waa { plan, .. } => plan
-                .dec_alloc
-                .iter()
-                .zip(plan.dec_layout.stages())
-                .map(|(&l, s)| l as f64 / s.tp as f64)
-                .fold(0.0f64, f64::max),
+        let (layout, dec_alloc) = match &variant {
+            Variant::Rra { plan, .. } => (&plan.layout, &plan.dec_alloc),
+            Variant::Waa { plan, .. } => (&plan.dec_layout, &plan.dec_alloc),
         };
-        let bytes_per_token = sim.model().kv_bytes_per_token_per_layer() as f64 * worst_layers;
+        let bytes_per_token = layout
+            .bottleneck_kv_bytes_per_token(dec_alloc, sim.model().kv_bytes_per_token_per_layer());
         let kv_capacity = sim
             .usable_capacity()
             .saturating_sub(estimate.memory.decoder_gpu.param_bytes)

@@ -33,14 +33,15 @@ pub enum ReservePolicy {
 ///
 /// The tracker works in *tokens × bytes-per-token* on the bottleneck GPU
 /// (the stage holding the most layers, divided by its tensor-parallel
-/// degree) — the GPU whose capacity constrains the whole schedule.
+/// degree) — the GPU whose capacity constrains the whole schedule. Both
+/// factors are integers, so every reservation is an exact byte count.
 ///
 /// # Example
 ///
 /// ```
 /// use exegpt_runner::{KvTracker, ReservePolicy};
 ///
-/// let mut kv = KvTracker::new(1000.0, 1_000_000, ReservePolicy::Incremental);
+/// let mut kv = KvTracker::new(1000, 1_000_000, ReservePolicy::Incremental);
 /// assert!(kv.try_admit(1, 100, 0));
 /// assert!(kv.grow(1, 1));
 /// kv.release(1);
@@ -49,7 +50,7 @@ pub enum ReservePolicy {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvTracker {
-    bytes_per_token: f64,
+    bytes_per_token: u64,
     capacity_bytes: u64,
     policy: ReservePolicy,
     /// Per-query entries in a slot-reusing arena: admissions recycle the
@@ -78,9 +79,9 @@ impl KvTracker {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes_per_token` is not positive.
-    pub fn new(bytes_per_token: f64, capacity_bytes: u64, policy: ReservePolicy) -> Self {
-        assert!(bytes_per_token > 0.0, "bytes per token must be positive");
+    /// Panics if `bytes_per_token` is zero.
+    pub fn new(bytes_per_token: u64, capacity_bytes: u64, policy: ReservePolicy) -> Self {
+        assert!(bytes_per_token > 0, "bytes per token must be positive");
         Self {
             bytes_per_token,
             capacity_bytes,
@@ -264,16 +265,16 @@ impl KvTracker {
 
 /// Bytes reserved for a query holding `held` tokens under `policy`: the
 /// policy's reserved-token count (exact, or rounded up to whole pages)
-/// converted at `bytes_per_token`. A free function so in-place map updates
-/// can price entries while the entry is mutably borrowed.
-fn reserved_bytes(bytes_per_token: f64, policy: ReservePolicy, held: usize) -> u64 {
+/// times `bytes_per_token`. A free function so in-place map updates can
+/// price entries while the entry is mutably borrowed.
+fn reserved_bytes(bytes_per_token: u64, policy: ReservePolicy, held: usize) -> u64 {
     let reserved = match policy {
         ReservePolicy::UpFront | ReservePolicy::Incremental => held,
         ReservePolicy::Paged { page_tokens } => {
             held.div_ceil(page_tokens.max(1)) * page_tokens.max(1)
         }
     };
-    (reserved as f64 * bytes_per_token).ceil() as u64
+    reserved as u64 * bytes_per_token
 }
 
 #[cfg(test)]
@@ -282,7 +283,7 @@ mod tests {
 
     #[test]
     fn upfront_reserves_max_output() {
-        let mut ft = KvTracker::new(10.0, 10_000, ReservePolicy::UpFront);
+        let mut ft = KvTracker::new(10, 10_000, ReservePolicy::UpFront);
         assert!(ft.try_admit(1, 100, 400)); // 5000 bytes
         assert!(!ft.try_admit(2, 100, 500)); // would be 6000 more
         assert!(ft.grow(1, 50), "growth is free under up-front");
@@ -291,7 +292,7 @@ mod tests {
 
     #[test]
     fn incremental_grows_per_token() {
-        let mut kv = KvTracker::new(10.0, 2_000, ReservePolicy::Incremental);
+        let mut kv = KvTracker::new(10, 2_000, ReservePolicy::Incremental);
         assert!(kv.try_admit(1, 100, 999));
         assert_eq!(kv.used_bytes(), 1000);
         assert!(kv.grow(1, 100));
@@ -302,7 +303,7 @@ mod tests {
 
     #[test]
     fn release_compacts_and_keeps_peak() {
-        let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Incremental);
+        let mut kv = KvTracker::new(1, 1000, ReservePolicy::Incremental);
         assert!(kv.try_admit(1, 600, 0));
         kv.release(1);
         assert_eq!(kv.used_bytes(), 0);
@@ -313,7 +314,7 @@ mod tests {
 
     #[test]
     fn paged_rounds_to_pages() {
-        let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Paged { page_tokens: 16 });
+        let mut kv = KvTracker::new(1, 1000, ReservePolicy::Paged { page_tokens: 16 });
         assert!(kv.try_admit(1, 17, 0)); // 2 pages = 32
         assert_eq!(kv.used_bytes(), 32);
         assert!(kv.grow(1, 10)); // 27 tokens still 2 pages
@@ -325,8 +326,8 @@ mod tests {
     #[test]
     fn paged_wastes_less_than_upfront() {
         let cap = 100_000u64;
-        let mut up = KvTracker::new(1.0, cap, ReservePolicy::UpFront);
-        let mut pg = KvTracker::new(1.0, cap, ReservePolicy::Paged { page_tokens: 16 });
+        let mut up = KvTracker::new(1, cap, ReservePolicy::UpFront);
+        let mut pg = KvTracker::new(1, cap, ReservePolicy::Paged { page_tokens: 16 });
         // Queries with input 100, actual output 20, max output 500.
         let mut up_count = 0;
         let mut pg_count = 0;
@@ -345,7 +346,7 @@ mod tests {
 
     #[test]
     fn admit_unchecked_may_overcommit_but_blocks_later_admissions() {
-        let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
+        let mut kv = KvTracker::new(1, 100, ReservePolicy::Incremental);
         kv.admit_unchecked(1, 150); // migration: beyond capacity
         assert_eq!(kv.used_bytes(), 150);
         assert!(!kv.try_admit(2, 1, 0), "over-commit blocks new admissions");
@@ -355,7 +356,7 @@ mod tests {
 
     #[test]
     fn grow_all_matches_per_id_growth() {
-        let mut bulk = KvTracker::new(10.0, 100_000, ReservePolicy::Incremental);
+        let mut bulk = KvTracker::new(10, 100_000, ReservePolicy::Incremental);
         let mut each = bulk.clone();
         for id in 0..5 {
             assert!(bulk.try_admit(id, 100, 0));
@@ -374,7 +375,7 @@ mod tests {
     fn grow_all_skips_entries_at_capacity() {
         // Two 45-token queries against 100 bytes at 1 byte/token: the first
         // grows to 46, the second would need 101 total and is skipped.
-        let mut kv = KvTracker::new(1.0, 92, ReservePolicy::Incremental);
+        let mut kv = KvTracker::new(1, 92, ReservePolicy::Incremental);
         assert!(kv.try_admit(1, 45, 0));
         assert!(kv.try_admit(2, 45, 0));
         assert_eq!(kv.grow_all(1), 2);
@@ -385,7 +386,7 @@ mod tests {
 
     #[test]
     fn grow_all_is_free_under_upfront() {
-        let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::UpFront);
+        let mut kv = KvTracker::new(1, 1000, ReservePolicy::UpFront);
         assert!(kv.try_admit(1, 10, 20));
         assert_eq!(kv.grow_all(5), 1);
         assert_eq!(kv.used_bytes(), 30);
@@ -393,7 +394,7 @@ mod tests {
 
     #[test]
     fn release_batch_releases_each_id() {
-        let mut kv = KvTracker::new(1.0, 1000, ReservePolicy::Incremental);
+        let mut kv = KvTracker::new(1, 1000, ReservePolicy::Incremental);
         assert!(kv.try_admit(1, 100, 0));
         assert!(kv.try_admit(2, 200, 0));
         assert!(kv.try_admit(3, 300, 0));
@@ -404,7 +405,7 @@ mod tests {
 
     #[test]
     fn slots_are_recycled_across_admissions() {
-        let mut kv = KvTracker::new(1.0, 10_000, ReservePolicy::Incremental);
+        let mut kv = KvTracker::new(1, 10_000, ReservePolicy::Incremental);
         for round in 0..100u64 {
             for i in 0..8 {
                 assert!(kv.try_admit(round * 8 + i, 10, 0));
@@ -419,13 +420,13 @@ mod tests {
 
     #[test]
     fn grow_unknown_id_fails() {
-        let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
+        let mut kv = KvTracker::new(1, 100, ReservePolicy::Incremental);
         assert!(!kv.grow(9, 1));
     }
 
     #[test]
     fn grow_or_clamp_counts_clamped_tokens_without_applying_them() {
-        let mut kv = KvTracker::new(1.0, 100, ReservePolicy::Incremental);
+        let mut kv = KvTracker::new(1, 100, ReservePolicy::Incremental);
         assert!(kv.try_admit(1, 99, 0));
         kv.grow_or_clamp(1, 1); // fits: 100/100
         assert_eq!((kv.used_bytes(), kv.clamped_tokens()), (100, 0));
@@ -437,6 +438,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "bytes per token")]
     fn zero_bytes_per_token_panics() {
-        let _ = KvTracker::new(0.0, 100, ReservePolicy::Incremental);
+        let _ = KvTracker::new(0, 100, ReservePolicy::Incremental);
     }
 }

@@ -45,6 +45,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod admission;
 mod error;
 mod exec;
 mod kv;

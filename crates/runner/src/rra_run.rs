@@ -5,6 +5,7 @@ use exegpt_sim::{RraConfig, ScheduleConfig, Simulator};
 use exegpt_units::Secs;
 use exegpt_workload::{PoissonStream, Request, RequestStream, TimedRequest};
 
+use crate::admission::Admission;
 use crate::error::RunError;
 use crate::exec::PhaseExecutor;
 use crate::report::RunReport;
@@ -45,6 +46,7 @@ pub(crate) fn run(
     };
 
     let mut pool: Vec<Active> = Vec::new();
+    let mut admission = Admission::default();
     let mut t = 0.0f64;
     let mut latencies = Vec::with_capacity(opts.num_queries);
     let mut sojourns = Vec::new();
@@ -58,29 +60,9 @@ pub(crate) fn run(
         // ---- Encoding phase: dynamic admission (§5.2) -------------------
         // Only queries that have arrived are admissible (prefix: the queue
         // is arrival-sorted).
-        let arrived = pending.partition_point(|r| r.arrival <= t);
-        let lens: Vec<usize> = pending[..arrived].iter().map(|r| r.request.input_len).collect();
-        let selected = adjuster.select_batch(&lens, pool.len(), scheduled_b_d);
-        let mut admitted: Vec<TimedRequest> = Vec::with_capacity(selected.len());
-        let mut taken = vec![false; pending.len()];
-        for &idx in &selected {
-            let req = pending[idx];
-            if !kv.try_admit(req.request.id, req.request.input_len, 0) {
-                break; // cache full: stop admitting this phase
-            }
-            taken[idx] = true;
-            admitted.push(req);
-        }
-        if !admitted.is_empty() {
-            let mut keep = Vec::with_capacity(pending.len() - admitted.len());
-            for (i, req) in pending.into_iter().enumerate() {
-                if !taken[i] {
-                    keep.push(req);
-                }
-            }
-            pending = keep;
-        }
-        if admitted.is_empty() && pool.is_empty() {
+        let arrived =
+            admission.admit(&mut pending, t, &adjuster, pool.len(), scheduled_b_d, &mut kv);
+        if admission.admitted.is_empty() && pool.is_empty() {
             if pending.is_empty() {
                 break;
             }
@@ -97,16 +79,15 @@ pub(crate) fn run(
             });
         }
 
-        if !admitted.is_empty() {
-            let lens: Vec<usize> = admitted.iter().map(|r| r.request.input_len).collect();
-            let enc = exec.encode_timing(&lens)?;
+        if !admission.admitted.is_empty() {
+            let enc = exec.encode_timing(admission.admitted_lens())?;
             enc_stage_times.push(enc.bottleneck.as_secs());
             let t_start = t;
             t += enc.total.as_secs();
             if let Some(tr) = trace.as_mut() {
-                tr.record("workers", SpanKind::Encode, t_start, t, admitted.len());
+                tr.record("workers", SpanKind::Encode, t_start, t, admission.admitted.len());
             }
-            for tr in admitted {
+            for tr in admission.admitted.drain(..) {
                 pool.push(Active {
                     req: tr.request,
                     progress: 0,

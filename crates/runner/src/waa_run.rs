@@ -9,6 +9,7 @@ use exegpt_sim::{ScheduleConfig, Simulator, WaaConfig};
 use exegpt_units::Secs;
 use exegpt_workload::{PoissonStream, Request, RequestStream, TimedRequest};
 
+use crate::admission::Admission;
 use crate::error::RunError;
 use crate::exec::PhaseExecutor;
 use crate::report::RunReport;
@@ -47,6 +48,7 @@ pub(crate) fn run(
     };
 
     let mut pool: Vec<Active> = Vec::new();
+    let mut admission = Admission::default();
     let mut t = 0.0f64;
     let mut latencies = Vec::with_capacity(opts.num_queries);
     let mut sojourns = Vec::new();
@@ -60,29 +62,9 @@ pub(crate) fn run(
         // ---- Encoder side of this round ---------------------------------
         // Only queries that have arrived are admissible (prefix: the queue
         // is arrival-sorted).
-        let arrived = pending.partition_point(|r| r.arrival <= t);
-        let lens: Vec<usize> = pending[..arrived].iter().map(|r| r.request.input_len).collect();
-        let selected = adjuster.select_batch(&lens, pool.len(), scheduled_b_d);
-        let mut admitted: Vec<TimedRequest> = Vec::with_capacity(selected.len());
-        let mut taken = vec![false; pending.len()];
-        for &idx in &selected {
-            let req = pending[idx];
-            if !kv.try_admit(req.request.id, req.request.input_len, 0) {
-                break;
-            }
-            taken[idx] = true;
-            admitted.push(req);
-        }
-        if !admitted.is_empty() {
-            let mut keep = Vec::with_capacity(pending.len() - admitted.len());
-            for (i, req) in pending.into_iter().enumerate() {
-                if !taken[i] {
-                    keep.push(req);
-                }
-            }
-            pending = keep;
-        }
-        if admitted.is_empty() && pool.is_empty() {
+        let arrived =
+            admission.admit(&mut pending, t, &adjuster, pool.len(), scheduled_b_d, &mut kv);
+        if admission.admitted.is_empty() && pool.is_empty() {
             if pending.is_empty() {
                 break;
             }
@@ -98,11 +80,10 @@ pub(crate) fn run(
             });
         }
 
-        let (p_enc, enc_tokens) = if admitted.is_empty() {
+        let (p_enc, enc_tokens) = if admission.admitted.is_empty() {
             (0.0, 0.0)
         } else {
-            let lens: Vec<usize> = admitted.iter().map(|r| r.request.input_len).collect();
-            let enc = exec.encode_timing(&lens)?;
+            let enc = exec.encode_timing(admission.admitted_lens())?;
             enc_stage_times.push(enc.bottleneck.as_secs());
             (enc.bottleneck.as_secs(), enc.tokens)
         };
@@ -126,9 +107,10 @@ pub(crate) fn run(
         let t_start = t;
         t += round;
         if let Some(tr) = trace.as_mut() {
-            tr.record("encoders", SpanKind::Encode, t_start, t_start + p_enc, admitted.len());
+            let n_enc = admission.admitted.len();
+            tr.record("encoders", SpanKind::Encode, t_start, t_start + p_enc, n_enc);
             tr.record("decoders", SpanKind::Decode, t_start, t_start + p_dec, pool.len());
-            tr.record("handover", SpanKind::KvTransfer, t_start, t_start + t_kv, admitted.len());
+            tr.record("handover", SpanKind::KvTransfer, t_start, t_start + t_kv, n_enc);
         }
         if !pool.is_empty() {
             tokens += pool.len() as u64;
@@ -149,7 +131,7 @@ pub(crate) fn run(
                 }
             }
         }
-        for tr in admitted {
+        for tr in admission.admitted.drain(..) {
             pool.push(Active {
                 req: tr.request,
                 progress: 0,

@@ -1,6 +1,6 @@
 //! Pipeline layout: mapping GPUs to stages under partial tensor parallelism.
 
-use exegpt_dist::convert::{lossless_f64, trunc_usize};
+use exegpt_dist::convert::{lossless_f64, trunc_usize, widen_u64};
 use serde::{Deserialize, Serialize};
 
 use crate::config::TpConfig;
@@ -120,6 +120,20 @@ impl PipelineLayout {
         a / self.gpus_per_node == b / self.gpus_per_node
     }
 
+    /// KV-cache bytes per cached token on the bottleneck GPU: the maximum
+    /// over stages of `kv_bytes_per_layer · layers[i] / tp`, where
+    /// `layers[i]` is stage `i`'s layer count. Exact integer arithmetic;
+    /// when a stage's TP degree does not divide its bytes the quotient
+    /// rounds up (a rank never holds less than its share).
+    pub fn bottleneck_kv_bytes_per_token(&self, layers: &[usize], kv_bytes_per_layer: u64) -> u64 {
+        layers
+            .iter()
+            .zip(&self.stages)
+            .map(|(&l, s)| (kv_bytes_per_layer * widen_u64(l)).div_ceil(widen_u64(s.tp)))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Splits `total_layers` across stages proportionally to stage speed
     /// (largest-remainder rounding, every stage at least one layer).
     ///
@@ -220,6 +234,51 @@ mod tests {
         assert!(l.boundary_intra_node(6));
         assert!(!l.boundary_intra_node(7), "gpu7 -> gpu8 crosses nodes");
         assert!(l.boundary_intra_node(15), "past the end counts as intra");
+    }
+
+    /// The f64 formula the runner and baselines priced KV with before the
+    /// integer one: `kv · max(l / tp)`.
+    fn f64_bytes_per_token(l: &PipelineLayout, layers: &[usize], kv: u64) -> f64 {
+        let worst = layers
+            .iter()
+            .zip(l.stages())
+            .map(|(&n, s)| n as f64 / s.tp as f64)
+            .fold(0.0f64, f64::max);
+        kv as f64 * worst
+    }
+
+    #[test]
+    fn bottleneck_kv_bytes_match_the_f64_formula_when_tp_divides() {
+        // Per-layer KV sizes of OPT-13B (2·5120·2) and GPT-3 39B (2·8192·2),
+        // both divisible by every TP degree below.
+        for kv in [20_480u64, 32_768] {
+            for (gpus, tp, speedup) in [
+                (4, TpConfig::none(), 1.0),
+                (4, TpConfig::full(4, 4), 3.2),
+                (8, TpConfig { degree: 2, gpus: 4 }, 1.8),
+                (8, TpConfig { degree: 4, gpus: 4 }, 3.0),
+                (16, TpConfig { degree: 8, gpus: 16 }, 6.0),
+            ] {
+                let l = PipelineLayout::build(gpus, tp, speedup, 8).expect("valid");
+                for total in [40, 41, 48, 96] {
+                    let layers = l.allocate_layers(total).expect("fits");
+                    let exact = l.bottleneck_kv_bytes_per_token(&layers, kv);
+                    assert_eq!(exact as f64, f64_bytes_per_token(&l, &layers, kv));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bottleneck_kv_bytes_round_up_when_tp_does_not_divide() {
+        // One TP-3 stage holding 1 layer of 10 bytes: 10/3 rounds up to 4.
+        let l = PipelineLayout::build(3, TpConfig::full(3, 3), 2.5, 8).expect("valid");
+        assert_eq!(l.bottleneck_kv_bytes_per_token(&[1], 10), 4);
+        assert_eq!(l.bottleneck_kv_bytes_per_token(&[3], 10), 10, "exact when it divides");
+        // A TP-2 stage beside single-GPU stages: the max is over stages.
+        let l = PipelineLayout::build(3, TpConfig { degree: 2, gpus: 2 }, 1.8, 8).expect("valid");
+        assert_eq!(l.bottleneck_kv_bytes_per_token(&[3, 1], 5), 8, "ceil(15/2) beats 5");
+        assert_eq!(l.bottleneck_kv_bytes_per_token(&[1, 3], 5), 15);
     }
 
     #[test]
