@@ -59,9 +59,6 @@ echo "==> xlint cache smoke (cold vs warm: coverage, byte-identity, >=5x)"
 XLINT_SMOKE_JSON=target/ci-artifacts/xlint-cache-stats.json \
   cargo run --offline --release -p exegpt-bench --bin xlint-smoke
 
-echo "==> serve smoke (SLO-accounting invariants over ~2k events)"
-cargo run --offline --release -p exegpt-serve --bin serve-smoke
-
 echo "==> replan smoke (incremental replans: byte-identity, no fallback, >=10x)"
 # Replays the golden drift/fault/recovery replans and exits non-zero if any
 # falls back to the full search, picks a different plan than the full
@@ -70,30 +67,21 @@ echo "==> replan smoke (incremental replans: byte-identity, no fallback, >=10x)"
 REPLAN_SMOKE_JSON=target/ci-artifacts/replan-smoke.json \
   cargo run --offline --release -p exegpt-bench --bin replan-smoke
 
-echo "==> faults smoke (seeded failure scenario, deterministic digest)"
-# The bin replays a seeded GPU failure + straggler + recovery scenario
-# twice and exits non-zero unless the runs are byte-identical, nothing is
-# lost, and recovery restores the original plan. The event log is archived
-# for diffing a failed gate.
-FAULTS_SMOKE_LOG=target/ci-artifacts/faults-smoke.jsonl \
-  cargo run --offline --release -p exegpt-serve --bin faults-smoke
-
-echo "==> fleet smoke (100k requests, 3+1 heterogeneous replicas, replica loss)"
-# Plays a 100k-request multi-tenant trace through a heterogeneous fleet
-# (two A40 replicas, one A100, an A40 standby) with a mid-run replica loss
-# and a scripted scale-up, once per routing arm. Exits non-zero unless
-# nothing is lost, the SLO-aware arm strictly beats round-robin on
-# interactive violations, and an identical replay is byte-identical
-# (FNV-1a digest over the fleet log plus every replica session log). The
-# per-arm summary is archived for trending.
-FLEET_SMOKE_JSON=target/ci-artifacts/fleet-smoke.json \
-  cargo run --offline --release -p exegpt-fleet --bin fleet-smoke
-
-echo "==> scenario smoke (every shipped config vs its committed golden digest)"
-# Runs every scenarios/*.toml through the declarative scenario layer and
-# exits non-zero if any run's FNV-1a event-log digest drifts from
-# scenarios/GOLDENS.toml, a config has no golden, or a golden has no
-# config. Intentional behavior changes regenerate the goldens with
+echo "==> scenario smoke (every shipped config: replay, invariants, golden digest)"
+# Runs every scenarios/*.toml through the declarative scenario layer twice
+# and exits non-zero if
+#   - the replay's FNV-1a event-log digest differs from the first run's;
+#   - any request is lost or left unfinished (completed == total);
+#   - a fleet run does not dispatch every request exactly once, rejects
+#     one, or its per-tenant completions do not add up to the total;
+#   - SLO accounting is inconsistent or skips a completion
+#     (slo.is_consistent(), checked == completed; per tenant for fleets);
+#   - a digest drifts from scenarios/GOLDENS.toml, a config has no golden,
+#     or a golden has no config.
+# Claims about one scenario (SLO-aware beats round-robin, faults are
+# detected, recovery restores the plan) are tests in
+# crates/scenario/tests/golden.rs. Intentional behavior changes regenerate
+# the goldens with
 # `cargo run --release --bin scenario-smoke -- scenarios --write-goldens`.
 cargo run --offline --release -p exegpt-scenario --bin scenario-smoke -- scenarios
 

@@ -19,12 +19,10 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, Criterion};
 use exegpt::{Engine, Replan, ReplanDelta, Schedule, SchedulerOptions};
-use exegpt_bench::scenarios::opt_4xa40;
+use exegpt_bench::scenarios::{lower_serve, opt_4xa40, shipped};
 use exegpt_dist::LengthDist;
-use exegpt_serve::{poisson_with_shift, DriftOptions, ServeLoop, ServeOptions, SloTargets};
 use exegpt_sim::Workload;
 use exegpt_units::Secs;
-use exegpt_workload::Task;
 
 /// Latency bound of the replan scenarios (matches `core/tests/replan.rs`).
 const BOUND: Secs = Secs::new(30.0);
@@ -191,43 +189,18 @@ fn print_replan_latency() {
     );
 }
 
-/// End-to-end serving wall-clock on the golden §7.6 shift scenario: the
-/// adaptive arm with incremental replanning on versus off. Both arms serve
-/// byte-identical event logs (locked in by `serve/tests/shift.rs`); the
-/// difference is pure replan latency inside the loop.
+/// End-to-end serving wall-clock on `scenarios/serve-shift.toml` (the
+/// §7.6 shift, adaptive arm) with incremental replanning on versus off.
+/// Both arms serve byte-identical event logs (locked in by
+/// `serve/tests/shift.rs`); the difference is pure replan latency inside
+/// the loop.
 fn print_serve_wall_clock(total: usize) {
-    let system = opt_4xa40();
-    let base = Task::Translation.workload().expect("valid");
-    let shifted =
-        Workload::new(base.input().clone(), base.output().with_scaled_mean(1.5).expect("valid"));
-    let engine = system.engine(base.clone());
-    let schedule = engine.schedule(BOUND).expect("feasible");
-    let rate = engine
-        .simulator()
-        .with_workload(shifted.clone())
-        .evaluate(&schedule.config)
-        .map(|e| 0.96 * e.throughput)
-        .unwrap_or(0.96 * schedule.estimate.throughput);
-    let arrivals = poisson_with_shift(&base, &shifted, rate, total / 4, total, 7);
-
     println!("Serving-loop wall-clock ({total} requests, x1.5 mean shift, adaptive arm):");
+    let lowered = lower_serve(&shipped(include_str!("../../../scenarios/serve-shift.toml"), total));
     for (label, incremental) in [("incremental replan", true), ("full-search replan", false)] {
-        let opts = ServeOptions {
-            slo: SloTargets::e2e(BOUND * 1.2),
-            adaptive: true,
-            incremental_replan: incremental,
-            scheduler: sched_opts(),
-            drift: DriftOptions {
-                window: 128,
-                min_samples: 48,
-                check_every: 16,
-                rel_threshold: 0.15,
-                consecutive: 2,
-            },
-            ..ServeOptions::default()
-        };
-        let serve = ServeLoop::new(engine.clone(), &schedule.config, opts).expect("feasible");
-        let (wall, report) = timed(|| serve.run(arrivals.clone()).expect("serves"));
+        let mut serve = lowered.clone();
+        serve.options.incremental_replan = incremental;
+        let (wall, report) = timed(|| serve.run().expect("serves"));
         println!(
             "  {label:<18}: {:7.0} ms wall, {:6.0} simulated requests/wall-second, \
              reschedules={} (incremental={}, fallbacks={})",

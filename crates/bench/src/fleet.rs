@@ -10,26 +10,29 @@
 //! SLO-aware policies keep every pool inside capacity — the per-tenant
 //! violation table is the comparison an operator cares about. Each row
 //! also carries the fabric's wall-clock cost as requests per wall second.
+//!
+//! Every arm runs the shipped `scenarios/fleet-loss.toml` (which also
+//! recovers the lost replica at 90% of the horizon); only the request
+//! count and the dispatch policy are set here.
 
 use std::time::Instant;
 
-use exegpt::Engine;
-use exegpt_cluster::ClusterSpec;
-use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
-use exegpt_fleet::{
-    DispatchPolicy, Fleet, FleetOptions, FleetReport, ReplicaSpec, ScaleAction, ScaleEvent,
-    SloClass,
-};
-use exegpt_model::ModelConfig;
-use exegpt_serve::ServeOptions;
-use exegpt_units::Secs;
-use exegpt_workload::{multi_tenant_trace, ArrivalProcess, Task, TenantRequest, TenantSpec};
+use exegpt_fleet::{DispatchPolicy, FleetReport};
+use exegpt_scenario::{lower, Lowered};
 use serde::{Deserialize, Serialize};
 
+use crate::scenarios::shipped;
 use crate::table;
 
-/// Arrival/trace seed (fixed: the runs are byte-deterministic).
-pub const SEED: u64 = 7;
+/// The fleet topology, tenants and faults every arm serves.
+const FLEET_LOSS: &str = include_str!("../../../scenarios/fleet-loss.toml");
+/// The dispatch policies compared, in table order.
+const POLICIES: [DispatchPolicy; 4] = [
+    DispatchPolicy::RoundRobin,
+    DispatchPolicy::LeastOutstanding,
+    DispatchPolicy::KvHeadroom,
+    DispatchPolicy::SloAware,
+];
 /// Shortest stream on which the overloaded-A40 queues grow long enough
 /// for the policies to separate on violations.
 pub const MIN_STEADY_REQUESTS: usize = 4000;
@@ -76,138 +79,27 @@ fn row(report: &FleetReport, policy: &str, wall: f64) -> Row {
     }
 }
 
-struct Scenario {
-    a40: Engine,
-    a40_cfg: exegpt::ScheduleConfig,
-    a100: Engine,
-    a100_cfg: exegpt::ScheduleConfig,
-    classes: Vec<SloClass>,
-    trace: Vec<TenantRequest>,
-    faults: FaultSchedule,
-    scale: Vec<ScaleEvent>,
-}
-
-fn scenario(total: usize) -> Scenario {
-    let workload = Task::Translation.workload().expect("task statistics are valid");
-    let a40 = Engine::builder()
-        .model(ModelConfig::opt_13b())
-        .cluster(ClusterSpec::a40_cluster().subcluster(4).expect("sub-cluster is valid"))
-        .workload(workload.clone())
-        .build()
-        .expect("engine builds");
-    let a100 = Engine::builder()
-        .model(ModelConfig::opt_13b())
-        .cluster(ClusterSpec::a100_cluster().subcluster(4).expect("sub-cluster is valid"))
-        .workload(workload.clone())
-        .build()
-        .expect("engine builds");
-    let a40_plan = a40.schedule(Secs::INFINITY).expect("throughput plan exists");
-    let a100_plan = a100.schedule(Secs::INFINITY).expect("throughput plan exists");
-    let (lat40, lat100) =
-        (a40_plan.estimate.latency.as_secs(), a100_plan.estimate.latency.as_secs());
-
-    // The interactive budget sits between the pools' plan latencies, so
-    // SLO-aware routing qualifies only the fast pool (see fleet-smoke).
-    let interactive_e2e = 0.5 * (lat40 + lat100);
-    let classes = vec![
-        SloClass::interactive("interactive", Secs::new(interactive_e2e)),
-        SloClass::batch("batch"),
-    ];
-    let fast_thr = a40_plan.estimate.throughput.max(a100_plan.estimate.throughput);
-    let slow_thr = a40_plan.estimate.throughput.min(a100_plan.estimate.throughput);
-    let tenants = vec![
-        TenantSpec {
-            tenant: 0,
-            class: 0,
-            process: ArrivalProcess::Poisson { rate_qps: 0.20 * fast_thr },
-        },
-        TenantSpec {
-            tenant: 1,
-            class: 0,
-            process: ArrivalProcess::Poisson { rate_qps: 0.15 * fast_thr },
-        },
-        TenantSpec {
-            tenant: 2,
-            class: 1,
-            process: ArrivalProcess::Poisson { rate_qps: 1.80 * slow_thr },
-        },
-        TenantSpec {
-            tenant: 3,
-            class: 1,
-            process: ArrivalProcess::Bursty {
-                rate_burst: 1.20 * slow_thr,
-                rate_lull: 0.40 * slow_thr,
-                dwell_burst: 20.0,
-                dwell_lull: 60.0,
-            },
-        },
-    ];
-    let trace = multi_tenant_trace(&workload, &tenants, total, SEED);
-    let horizon = trace.last().map(|r| r.request.arrival).unwrap_or(0.0);
-    let faults = FaultSchedule::new(vec![FaultEvent {
-        t: 0.50 * horizon,
-        kind: FaultKind::GpuFail { gpu: 1 },
-    }])
-    .expect("valid fault schedule");
-    let scale = vec![ScaleEvent { t: 0.55 * horizon, action: ScaleAction::Up { replica: 3 } }];
-    Scenario {
-        a40,
-        a40_cfg: a40_plan.config,
-        a100,
-        a100_cfg: a100_plan.config,
-        classes,
-        trace,
-        faults,
-        scale,
-    }
-}
-
-fn run_policy(s: &Scenario, policy: DispatchPolicy) -> FleetReport {
-    let opts = ServeOptions { adaptive: false, ..ServeOptions::default() };
-    let specs = vec![
-        ReplicaSpec::new("a40-0", s.a40.clone(), s.a40_cfg, opts.clone())
-            .expect("replica is valid"),
-        ReplicaSpec::new("a40-1", s.a40.clone(), s.a40_cfg, opts.clone())
-            .expect("replica is valid"),
-        ReplicaSpec::new("a100-0", s.a100.clone(), s.a100_cfg, opts.clone())
-            .expect("replica is valid"),
-        ReplicaSpec::new("a40-standby", s.a40.clone(), s.a40_cfg, opts)
-            .expect("replica is valid")
-            .standby(),
-    ];
-    let fleet = Fleet::new(
-        specs,
-        FleetOptions {
-            policy,
-            classes: s.classes.clone(),
-            faults: Some(s.faults.clone()),
-            scale: s.scale.clone(),
-        },
-    )
-    .expect("fleet is valid");
-    fleet.run(s.trace.clone()).expect("fleet run completes")
-}
-
 /// Plays `total` requests through the fleet once per dispatch policy and
 /// returns one row per policy.
 // The bench crate is the one place wall-clock reads are in-policy (xlint
 // D2 waiver): `wall_qps` is the measurement this module exists to take.
 #[allow(clippy::disallowed_methods)]
 pub fn generate(total: usize) -> Vec<Row> {
-    let s = scenario(total);
-    [
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::LeastOutstanding,
-        DispatchPolicy::KvHeadroom,
-        DispatchPolicy::SloAware,
-    ]
-    .into_iter()
-    .map(|policy| {
-        let start = Instant::now();
-        let report = run_policy(&s, policy);
-        row(&report, policy.name(), start.elapsed().as_secs_f64())
-    })
-    .collect()
+    let Lowered::Fleet(lowered) =
+        lower(&shipped(FLEET_LOSS, total)).expect("fleet-loss.toml lowers")
+    else {
+        panic!("fleet-loss.toml is not a fleet scenario");
+    };
+    POLICIES
+        .into_iter()
+        .map(|policy| {
+            let mut arm = lowered.clone();
+            arm.options.policy = policy;
+            let start = Instant::now();
+            let report = arm.run().expect("fleet run completes");
+            row(&report, policy.name(), start.elapsed().as_secs_f64())
+        })
+        .collect()
 }
 
 /// Renders the rows as the policy comparison table.

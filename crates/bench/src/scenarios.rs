@@ -1,5 +1,6 @@
-//! Model/cluster deployments of the paper's evaluation (Table 2) and the
-//! shared profiling cache.
+//! Model/cluster deployments of the paper's evaluation (Table 2), the
+//! shared profiling cache, and the shipped scenario files the serving and
+//! fleet experiments run.
 
 use std::sync::{Arc, OnceLock};
 
@@ -7,6 +8,7 @@ use exegpt::Engine;
 use exegpt_cluster::ClusterSpec;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{LayerProfile, ProfileCache, ProfileOptions};
+use exegpt_scenario::{lower, Lowered, Mode, Scenario, ServeLowered};
 use exegpt_sim::{Simulator, Workload};
 use exegpt_workload::Task;
 
@@ -64,6 +66,36 @@ impl System {
             .profile(self.profile())
             .build()
             .expect("scenario engine builds")
+    }
+}
+
+/// Decodes a shipped scenario file (`scenarios/*.toml`, embedded at build
+/// time) with its request count set to `total`.
+///
+/// # Panics
+///
+/// Panics if the file does not decode (the shipped files are
+/// digest-locked, so this is a build-time fact).
+pub fn shipped(toml: &str, total: usize) -> Scenario {
+    let mut scenario = Scenario::from_toml_str(toml).expect("shipped scenario decodes");
+    match &mut scenario.mode {
+        Mode::Serve(cfg) => cfg.total = total,
+        Mode::Fleet(cfg) => cfg.total = total,
+        Mode::Replay(cfg) => cfg.num_queries = total,
+    }
+    scenario
+}
+
+/// Lowers a serve scenario (one schedule search); arms that differ only
+/// in serving options clone the result instead of lowering again.
+///
+/// # Panics
+///
+/// Panics if `scenario` is not a serve scenario or does not lower.
+pub fn lower_serve(scenario: &Scenario) -> ServeLowered {
+    match lower(scenario).expect("shipped scenario lowers") {
+        Lowered::Serve(s) => s,
+        _ => panic!("`{}` is not a serve scenario", scenario.name),
     }
 }
 

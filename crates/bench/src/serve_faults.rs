@@ -9,24 +9,19 @@
 //! Offered load sits at 70% of healthy capacity: a 3× straggler drags the
 //! tolerated cluster to ~1/3 of capacity (saturated — queueing blows the
 //! tail), while the evicted topology retains 3/4 of it (still keeping up).
+//!
+//! Both arms run the shipped `scenarios/serve-straggler.toml`; the
+//! tolerate arm only raises its eviction threshold out of reach.
 
-use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
-use exegpt_serve::{FaultOptions, ServeLoop, ServeOptions, ServeReport, SloTargets};
-use exegpt_units::Secs;
-use exegpt_workload::{PoissonStream, Task, TimedRequest};
+use exegpt_scenario::{FaultKindConfig, Mode, Scenario, ServeLowered};
+use exegpt_serve::ServeReport;
 use serde::{Deserialize, Serialize};
 
-use crate::scenarios::opt_4xa40;
+use crate::scenarios::{lower_serve, shipped};
 use crate::table;
 
-/// Latency bound the schedule is optimized under (seconds).
-pub const LATENCY_BOUND: f64 = 30.0;
-/// End-to-end SLO (seconds), matching the serve-shift scenario.
-pub const SLO_E2E: f64 = 1.2 * LATENCY_BOUND;
-/// Injected slowdown factor of the straggling device.
-pub const SLOWDOWN: f64 = 3.0;
-/// Arrival seed (fixed: the runs are byte-deterministic).
-pub const SEED: u64 = 7;
+/// The straggler scenario both arms serve.
+const STRAGGLER: &str = include_str!("../../../scenarios/serve-straggler.toml");
 /// Shortest stream whose straggler window spans enough phases for the
 /// arms to separate (shorter runs are transient-dominated).
 pub const MIN_STEADY_REQUESTS: usize = 2000;
@@ -69,53 +64,39 @@ fn row(arm: &str, r: &ServeReport) -> Row {
     }
 }
 
-fn opts(faults: FaultOptions) -> ServeOptions {
-    ServeOptions {
-        slo: SloTargets::e2e(Secs::new(SLO_E2E)),
-        faults: Some(faults),
-        // Drift adaptation off: the backlog the straggler builds drains
-        // output-length-biased and would trigger refits in both arms,
-        // muddying the eviction-policy comparison this scenario isolates.
-        adaptive: false,
-        ..ServeOptions::default()
-    }
-}
-
 /// Serves `total` requests through both arms — a 3× straggler from 30% to
 /// 90% of the arrival window — and returns one row per arm.
 pub fn generate(total: usize) -> Vec<Row> {
-    let system = opt_4xa40();
-    let workload = Task::Translation.workload().expect("task statistics are valid");
-    let engine = system.engine(workload.clone());
-    let schedule = engine.schedule(Secs::new(LATENCY_BOUND)).expect("bounded schedule exists");
-
-    let rate = 0.7 * schedule.estimate.throughput;
-    let arrivals: Vec<TimedRequest> =
-        PoissonStream::new(&workload, rate, SEED).take(total).collect();
-    let horizon = arrivals.last().map(|r| r.arrival).unwrap_or(0.0);
-    let faults = FaultSchedule::new(vec![
-        FaultEvent { t: 0.3 * horizon, kind: FaultKind::GpuSlowdown { gpu: 1, factor: SLOWDOWN } },
-        FaultEvent { t: 0.9 * horizon, kind: FaultKind::GpuRecover { gpu: 1 } },
-    ])
-    .expect("valid fault schedule");
-
-    // Tolerate: the eviction threshold is unreachably high, so the
-    // confirmed straggler stays and dilates every phase it touches.
-    let tolerate =
-        FaultOptions { schedule: faults.clone(), evict_slowdown: 1e6, ..FaultOptions::default() };
     // Degrade: default policy — a 3× straggler crosses the 2× threshold
     // and is evicted; the loop replans onto the 3-GPU surviving topology.
-    let degrade = FaultOptions { schedule: faults, ..FaultOptions::default() };
+    let degrade = lower_serve(&shipped(STRAGGLER, total));
+    // Tolerate: the same lowered run with the eviction threshold out of
+    // reach, so the confirmed straggler stays and dilates every phase it
+    // touches.
+    let mut tolerate = degrade.clone();
+    tolerate.options.faults.as_mut().expect("serve-straggler.toml injects faults").evict_slowdown =
+        1e6;
+    let run = |arm: ServeLowered| arm.run().expect("serving completes");
+    vec![row("tolerate", &run(tolerate)), row("degrade", &run(degrade))]
+}
 
-    let mut rows = Vec::new();
-    for (arm, fo) in [("tolerate", tolerate), ("degrade", degrade)] {
-        let report = ServeLoop::new(engine.clone(), &schedule.config, opts(fo))
-            .expect("schedule is feasible")
-            .run(arrivals.clone())
-            .expect("serving completes");
-        rows.push(row(arm, &report));
-    }
-    rows
+/// The table title, read off the shipped file so the two cannot drift.
+fn title() -> String {
+    let scenario = Scenario::from_toml_str(STRAGGLER).expect("shipped scenario decodes");
+    let Mode::Serve(cfg) = scenario.mode else {
+        panic!("serve-straggler.toml is a serve scenario");
+    };
+    let factor = cfg
+        .faults
+        .iter()
+        .flat_map(|f| &f.events)
+        .find_map(|e| match e.kind {
+            FaultKindConfig::GpuSlowdown { factor, .. } => Some(factor),
+            _ => None,
+        })
+        .expect("serve-straggler.toml slows a GPU");
+    let slo = cfg.slo.e2e_secs.expect("serve-straggler.toml sets an e2e SLO");
+    format!("Graceful degradation: ×{factor} straggler, OPT-13B task T, SLO {slo}s")
 }
 
 /// Renders the rows as the comparison table.
@@ -137,7 +118,8 @@ pub fn render(rows: &[Row]) -> String {
         })
         .collect();
     format!(
-        "Graceful degradation: ×{SLOWDOWN:.0} straggler, OPT-13B task T, SLO {SLO_E2E:.0}s\n{}",
+        "{}\n{}",
+        title(),
         table::render(
             &[
                 "arm",

@@ -8,31 +8,28 @@
 //! through `exegpt-serve` and reports what an operator would see: SLO
 //! violation rate, tail latency, and the number/cost of live plan swaps.
 //!
+//! Both arms are the shipped scenario files `scenarios/serve-shift.toml`
+//! (adaptive) and `scenarios/serve-shift-static.toml` (static); only the
+//! request count is set here.
+//!
 //! The separation between the arms needs a steady-state pipeline; with
 //! fewer than ~2000 requests the run is transient-dominated and both arms
 //! look alike (see `EXPERIMENTS.md`).
 
-use exegpt::SchedulerOptions;
-use exegpt_serve::{
-    poisson_with_shift, DriftOptions, ServeLoop, ServeOptions, ServeReport, SloTargets,
-};
-use exegpt_sim::Workload;
-use exegpt_units::Secs;
-use exegpt_workload::Task;
+use exegpt_scenario::{ArrivalsConfig, Mode, Scenario};
+use exegpt_serve::ServeReport;
 use serde::{Deserialize, Serialize};
 
-use crate::scenarios::opt_4xa40;
+use crate::scenarios::{lower_serve, shipped};
 use crate::table;
 
-/// Latency bound the schedules are optimized under (seconds).
-pub const LATENCY_BOUND: f64 = 30.0;
-/// Mean-scale factor of the mid-run shift (Figure 11 "Average").
-pub const SHIFT_FACTOR: f64 = 1.5;
-/// End-to-end SLO, placed between the re-optimized plan's tail-latency
-/// estimate and the stale plan's.
-pub const SLO_E2E: f64 = 1.2 * LATENCY_BOUND;
-/// Arrival seed (fixed: the runs are byte-deterministic).
-pub const SEED: u64 = 7;
+/// The adaptive arm's scenario file.
+const ADAPTIVE: &str = include_str!("../../../scenarios/serve-shift.toml");
+/// The arms, in table order: name and scenario file.
+const ARMS: [(&str, &str); 2] = [
+    ("static", include_str!("../../../scenarios/serve-shift-static.toml")),
+    ("adaptive", ADAPTIVE),
+];
 /// Shortest stream that reaches pipeline steady state (the bounded plan
 /// keeps ~500 queries in flight; shorter runs are transient-dominated).
 pub const MIN_STEADY_REQUESTS: usize = 2000;
@@ -74,54 +71,30 @@ fn row(arm: &str, r: &ServeReport) -> Row {
     }
 }
 
-fn opts(adaptive: bool) -> ServeOptions {
-    ServeOptions {
-        slo: SloTargets::e2e(Secs::new(SLO_E2E)),
-        adaptive,
-        scheduler: SchedulerOptions::bounded(Secs::new(LATENCY_BOUND)),
-        drift: DriftOptions {
-            window: 128,
-            min_samples: 48,
-            check_every: 16,
-            rel_threshold: 0.15,
-            consecutive: 2,
-        },
-        ..ServeOptions::default()
-    }
+/// Serves `total` requests of the shipped drift stream (mean shift after
+/// the first quarter) through the static and adaptive arms and returns
+/// one row per arm.
+pub fn generate(total: usize) -> Vec<Row> {
+    ARMS.iter()
+        .map(|(arm, toml)| {
+            let report = lower_serve(&shipped(toml, total)).run().expect("serving completes");
+            row(arm, &report)
+        })
+        .collect()
 }
 
-/// Serves `total` requests (mean shift ×1.5 after the first quarter)
-/// through the static and adaptive arms and returns one row per arm.
-pub fn generate(total: usize) -> Vec<Row> {
-    let system = opt_4xa40();
-    let base = Task::Translation.workload().expect("task statistics are valid");
-    let shifted = Workload::new(
-        base.input().clone(),
-        base.output().with_scaled_mean(SHIFT_FACTOR).expect("valid shift"),
-    );
-
-    let engine = system.engine(base.clone());
-    let schedule = engine.schedule(Secs::new(LATENCY_BOUND)).expect("bounded schedule exists");
-    // Offer load at 96% of the stale plan's capacity on the *shifted*
-    // traffic: the static arm runs near saturation post-shift while the
-    // re-optimized plan keeps headroom.
-    let rate = engine
-        .simulator()
-        .with_workload(shifted.clone())
-        .evaluate(&schedule.config)
-        .map(|e| 0.96 * e.throughput)
-        .unwrap_or(0.96 * schedule.estimate.throughput);
-    let arrivals = poisson_with_shift(&base, &shifted, rate, total / 4, total, SEED);
-
-    let mut rows = Vec::new();
-    for (arm, adaptive) in [("static", false), ("adaptive", true)] {
-        let report = ServeLoop::new(engine.clone(), &schedule.config, opts(adaptive))
-            .expect("schedule is feasible")
-            .run(arrivals.clone())
-            .expect("serving completes");
-        rows.push(row(arm, &report));
-    }
-    rows
+/// The table title, read off the adaptive arm's file so the two cannot
+/// drift.
+fn title() -> String {
+    let scenario = Scenario::from_toml_str(ADAPTIVE).expect("shipped scenario decodes");
+    let Mode::Serve(cfg) = scenario.mode else {
+        panic!("serve-shift.toml is a serve scenario");
+    };
+    let ArrivalsConfig::PoissonWithShift { scale_mean, .. } = cfg.arrivals else {
+        panic!("serve-shift.toml shifts its arrival stream");
+    };
+    let slo = cfg.slo.e2e_secs.expect("serve-shift.toml sets an e2e SLO");
+    format!("Figure 11 (end-to-end serving): ×{scale_mean} mean shift, OPT-13B task T, SLO {slo}s")
 }
 
 /// Renders the rows as the comparison table.
@@ -143,8 +116,8 @@ pub fn render(rows: &[Row]) -> String {
         })
         .collect();
     format!(
-        "Figure 11 (end-to-end serving): ×{SHIFT_FACTOR} mean shift, OPT-13B task T, \
-         SLO {SLO_E2E:.0}s\n{}",
+        "{}\n{}",
+        title(),
         table::render(
             &[
                 "arm",

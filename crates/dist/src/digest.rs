@@ -1,6 +1,6 @@
 //! The stable run digest: FNV-1a over a rendered event log — the one
-//! dependency-free hash behind the smoke runs, the scenario goldens and the
-//! benchmark, so two machines (or two sessions) can compare runs by one hex
+//! dependency-free hash behind the scenario goldens, their replay check and
+//! the benchmark, so two machines (or two sessions) can compare runs by one hex
 //! token.
 
 /// FNV-1a over the bytes of `text`.

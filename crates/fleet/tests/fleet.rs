@@ -181,8 +181,9 @@ fn replica_loss_reroutes_everything_and_loses_nothing() {
 #[test]
 fn tight_classes_route_to_fitting_replicas() {
     // Two identical pools: SLO-aware degenerates to least-outstanding and
-    // must still complete everything (the policy's discriminating case
-    // runs in the heterogeneous fleet-smoke binary).
+    // must still complete everything (the policy's discriminating case is
+    // the heterogeneous `scenarios/fleet-loss.toml`, tested against
+    // round-robin in the scenario crate's golden tests).
     let engine = engine();
     let schedule = engine.schedule(Secs::INFINITY).expect("schedules");
     let rate = 0.6 * schedule.estimate.throughput;

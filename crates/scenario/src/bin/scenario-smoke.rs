@@ -5,18 +5,94 @@
 //! ```
 //!
 //! Runs every `*.toml` under the scenarios directory (default
-//! `scenarios/`, next to the workspace root) in file-name order and
-//! compares each run's FNV-1a event-log digest against the committed
-//! goldens in `GOLDENS.toml`. Any drift — a scenario whose digest moved, a
-//! new config with no golden, a golden whose config vanished — fails the
-//! gate. `--write-goldens` regenerates the golden file instead (for
-//! intentional behavior changes; the diff then documents the move).
+//! `scenarios/`, next to the workspace root) in file-name order, twice,
+//! and fails the gate when
+//!
+//! * the replay's FNV-1a event-log digest differs from the first run's;
+//! * a run breaks an invariant every scenario must keep (see
+//!   [`broken_invariants`]): a lost or unfinished request, a fleet request
+//!   not dispatched exactly once or unaccounted for per tenant, or SLO
+//!   accounting that is inconsistent or skips a completion;
+//! * the digest drifts from the committed golden in `GOLDENS.toml`, a new
+//!   config has no golden, or a golden's config vanished.
+//!
+//! `--write-goldens` regenerates the golden file instead of comparing
+//! (for intentional behavior changes; the diff then documents the move).
+//! Claims about one scenario (arm A beats arm B, a fault is detected) are
+//! tests over the shipped files in `crates/scenario/tests/golden.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use exegpt_scenario::{format_digest, run, toml, Scenario};
+use exegpt_scenario::{format_digest, run, toml, Mode, Report, Scenario};
+use exegpt_serve::SloOutcome;
 use serde::Value;
+
+/// The number of requests (or replayed queries) the scenario asks for.
+fn requested(scenario: &Scenario) -> usize {
+    match &scenario.mode {
+        Mode::Serve(cfg) => cfg.total,
+        Mode::Fleet(cfg) => cfg.total,
+        Mode::Replay(cfg) => cfg.num_queries,
+    }
+}
+
+/// Checks `slo` covers exactly `completed` requests, consistently.
+fn slo_problems(who: &str, slo: &SloOutcome, completed: usize, out: &mut Vec<String>) {
+    if !slo.is_consistent() {
+        out.push(format!("{who}SLO accounting inconsistent: {slo:?}"));
+    }
+    if slo.checked != completed {
+        out.push(format!("{who}{} SLO checks for {completed} completions", slo.checked));
+    }
+}
+
+/// The invariants every shipped scenario keeps, whatever it models; one
+/// message per broken invariant.
+fn broken_invariants(scenario: &Scenario, report: &Report) -> Vec<String> {
+    let total = requested(scenario);
+    let mut out = Vec::new();
+    let mut expect = |ok: bool, why: String| {
+        if !ok {
+            out.push(why);
+        }
+    };
+    match report {
+        Report::Serve(r) => {
+            expect(r.requests_lost == 0, format!("{} requests lost", r.requests_lost));
+            expect(r.completed == total, format!("{} of {total} requests completed", r.completed));
+            expect(
+                r.makespan > 0.0 && r.throughput > 0.0,
+                format!("makespan {} s, throughput {} q/s", r.makespan, r.throughput),
+            );
+            if let (Some(ttft), Some(e2e)) = (&r.ttft, &r.e2e) {
+                expect(
+                    ttft.mean <= e2e.mean,
+                    format!("mean TTFT {} s exceeds mean e2e {} s", ttft.mean, e2e.mean),
+                );
+            }
+            slo_problems("", &r.slo, r.completed, &mut out);
+        }
+        Report::Fleet(r) => {
+            expect(r.lost == 0, format!("{} requests lost", r.lost));
+            expect(r.rejected == 0, format!("{} requests rejected", r.rejected));
+            expect(
+                r.dispatched == total,
+                format!("{} of {total} requests dispatched", r.dispatched),
+            );
+            expect(r.completed == total, format!("{} of {total} requests completed", r.completed));
+            let by_tenant: usize = r.tenants.iter().map(|t| t.completed).sum();
+            expect(by_tenant == total, format!("tenants account for {by_tenant} of {total}"));
+            for t in &r.tenants {
+                slo_problems(&format!("tenant {}: ", t.tenant), &t.slo, t.completed, &mut out);
+            }
+        }
+        Report::Replay(r) => {
+            expect(r.completed == total, format!("{} of {total} queries completed", r.completed));
+        }
+    }
+    out
+}
 
 /// Loads `GOLDENS.toml` as (file name, digest hex) pairs, in file order.
 fn load_goldens(path: &Path) -> Result<Vec<(String, String)>, String> {
@@ -82,6 +158,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let mut failed = false;
     let mut fresh: Vec<(String, String)> = Vec::new();
     for path in &files {
         let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
@@ -100,7 +177,30 @@ fn main() -> ExitCode {
             }
         };
         print!("{}", outcome.summary);
+        match run(&scenario) {
+            Ok(replay) if replay.digest == outcome.digest => {}
+            Ok(replay) => {
+                eprintln!(
+                    "scenario-smoke: {name}: replay digest {} != first run {}",
+                    format_digest(replay.digest),
+                    format_digest(outcome.digest)
+                );
+                failed = true;
+            }
+            Err(e) => {
+                eprintln!("scenario-smoke: {name}: replay: {e}");
+                failed = true;
+            }
+        }
+        for why in broken_invariants(&scenario, &outcome.report) {
+            eprintln!("scenario-smoke: {name}: {why}");
+            failed = true;
+        }
         fresh.push((name, format_digest(outcome.digest)));
+    }
+    if failed {
+        eprintln!("scenario-smoke FAILED");
+        return ExitCode::FAILURE;
     }
 
     let goldens_path = dir.join("GOLDENS.toml");
@@ -122,7 +222,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut failed = false;
     for (name, digest) in &fresh {
         match committed.iter().find(|(n, _)| n == name) {
             Some((_, want)) if want == digest => {}

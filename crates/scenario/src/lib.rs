@@ -4,9 +4,9 @@
 //! A scenario file (TOML or JSON) describes a complete run — model,
 //! cluster, workload distributions, scheduler constraints, arrival
 //! process, SLO classes, fault schedule, seed — and lowers onto the
-//! existing engine/serve/fleet/runner stack with the *same* operations the
-//! hand-written bench and smoke binaries perform, so a transcribed setup
-//! reproduces its event log byte for byte.
+//! existing engine/serve/fleet/runner stack. Lowering is the only path
+//! that builds a serve or fleet run outside those crates' own tests: the
+//! bench serving and fleet experiments run the shipped files too.
 //!
 //! The pipeline is three total functions, each with structured errors:
 //!

@@ -2,12 +2,12 @@
 //! engines, schedules, arrival traces, fault schedules, serve/fleet
 //! options — and [`run`] executes them deterministically.
 //!
-//! The lowering mirrors the hand-written constructions in the bench and
-//! smoke binaries *operation for operation* (same float expressions, same
-//! seeds, same call order), so a scenario file that transcribes one of
-//! those setups reproduces its event log byte for byte. Profiles are
-//! shared through a process-wide cache keyed on (model, cluster), exactly
-//! like the bench scenarios module.
+//! This is the one place a serve or fleet run is built from a
+//! description: the bench serving and fleet experiments decode the shipped
+//! scenario files and lower them here, so a shipped file, its golden
+//! digest and the bench table all come from the same construction.
+//! Profiles are shared through a process-wide cache keyed on (model,
+//! cluster).
 
 use std::sync::{Arc, OnceLock};
 
@@ -248,6 +248,7 @@ fn build_engine(
 // --- lowered forms -------------------------------------------------------
 
 /// A serve scenario, lowered and ready to run.
+#[derive(Clone)]
 pub struct ServeLowered {
     /// The deployment.
     pub engine: Engine,
@@ -260,6 +261,7 @@ pub struct ServeLowered {
 }
 
 /// A fleet scenario, lowered and ready to run.
+#[derive(Clone)]
 pub struct FleetLowered {
     /// Per-pool (name, engine, plan), in declaration order.
     pub pools: Vec<(String, Engine, Schedule)>,
@@ -267,8 +269,8 @@ pub struct FleetLowered {
     pub trace: Vec<TenantRequest>,
     /// Replica specs in declaration order.
     specs: Vec<ReplicaSpec>,
-    /// The fleet options.
-    options: FleetOptions,
+    /// The fleet options (dispatch policy, classes, faults, scaling).
+    pub options: FleetOptions,
 }
 
 /// A replay scenario, lowered and ready to run.
@@ -465,8 +467,8 @@ fn lower_fleet(scenario: &Scenario, cfg: &FleetConfig) -> Result<FleetLowered, S
         pools.push((pool.name.clone(), engine, schedule));
     }
 
-    // Classes: same (fast + slow) / 2 midpoint the fleet smoke run derives,
-    // generalized to min/max over all pools.
+    // Classes: the (fast + slow) / 2 midpoint of the pools' plan latencies,
+    // with fast/slow the min/max over all pools.
     let latencies = || pools.iter().map(|(_, _, s)| s.estimate.latency.as_secs());
     let classes = cfg
         .classes
@@ -543,8 +545,8 @@ fn lower_fleet(scenario: &Scenario, cfg: &FleetConfig) -> Result<FleetLowered, S
         })
         .collect::<Result<Vec<_>, ScenarioError>>()?;
 
-    // Fleet replicas run non-adaptive, like the smoke run: the router, not
-    // the replica, owns global placement decisions.
+    // Fleet replicas run non-adaptive: the router, not the replica, owns
+    // global placement decisions.
     let opts = ServeOptions { adaptive: false, ..ServeOptions::default() };
     let specs = cfg
         .replicas
@@ -676,8 +678,8 @@ impl ReplayLowered {
     }
 }
 
-/// The fleet log: fabric events plus every replica session log, the same
-/// concatenation the fleet smoke digest covers.
+/// The fleet log: fabric events plus every replica session log, so any
+/// nondeterminism anywhere in the stack moves the digest.
 fn fleet_log(report: &FleetReport) -> String {
     let mut all = report.events.to_jsonl();
     for r in &report.replicas {

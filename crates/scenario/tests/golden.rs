@@ -1,24 +1,15 @@
-//! Golden replay tests: the shipped scenario configs reproduce the
-//! hand-written bench/smoke constructions byte for byte, and the committed
-//! digest index stays in lockstep with the scenario files.
+//! Golden replay tests over the shipped scenario files: every file
+//! reproduces its committed digest, the digest index stays in lockstep
+//! with the files, and the claims each file exists to demonstrate hold.
+//! Invariants true of *every* scenario (nothing lost, everything
+//! completed, consistent SLO accounting, byte-identical replay) are
+//! checked by the `scenario-smoke` CI gate instead.
 
 use std::path::{Path, PathBuf};
 
-use exegpt::Engine;
-use exegpt::SchedulerOptions;
-use exegpt_cluster::ClusterSpec;
-use exegpt_faults::{FaultEvent, FaultKind, FaultSchedule};
-use exegpt_fleet::{
-    DispatchPolicy, Fleet, FleetOptions, FleetReport, ReplicaSpec, ScaleAction, ScaleEvent,
-    SloClass,
-};
-use exegpt_model::ModelConfig;
-use exegpt_profiler::{ProfileCache, ProfileOptions};
-use exegpt_scenario::{run, toml, Report, Scenario};
-use exegpt_serve::{poisson_with_shift, DriftOptions, ServeLoop, ServeOptions, SloTargets};
-use exegpt_sim::Workload;
-use exegpt_units::Secs;
-use exegpt_workload::{multi_tenant_trace, ArrivalProcess, Task, TenantSpec};
+use exegpt_fleet::FleetReport;
+use exegpt_scenario::{format_digest, lower, run, toml, Lowered, Mode, Report, Scenario};
+use exegpt_serve::ServeReport;
 use serde::Value;
 
 fn scenarios_dir() -> PathBuf {
@@ -29,188 +20,61 @@ fn load(name: &str) -> Scenario {
     Scenario::load(&scenarios_dir().join(name)).expect("shipped scenario loads")
 }
 
-fn engine_for(model: &ModelConfig, cluster: &ClusterSpec, workload: Workload) -> Engine {
-    // An independent profile pass (not the scenario crate's cache):
-    // profiling is deterministic, so the engines must still agree.
-    let cache = ProfileCache::new();
-    let profile = cache
-        .get_or_profile(model, cluster, &ProfileOptions::default())
-        .expect("profiling succeeds");
-    Engine::builder()
-        .model(model.clone())
-        .cluster(cluster.clone())
-        .workload(workload)
-        .profile(profile)
-        .build()
-        .expect("engine builds")
-}
-
-/// `scenarios/serve-shift.toml` is a transcription of the bench
-/// serve_shift adaptive arm; its event log must match the hand-written
-/// construction byte for byte.
-#[test]
-fn serve_shift_config_matches_code_construction() {
-    let outcome = run(&load("serve-shift.toml")).expect("serve-shift runs");
-
-    // The construction from bench serve_shift.rs, adaptive arm, verbatim.
-    let total = 2000;
-    let model = ModelConfig::opt_13b();
-    let cluster = ClusterSpec::a40_cluster().subcluster(4).expect("4xA40 exists");
-    let base = Task::Translation.workload().expect("task statistics are valid");
-    let shifted = Workload::new(
-        base.input().clone(),
-        base.output().with_scaled_mean(1.5).expect("valid shift"),
-    );
-    let engine = engine_for(&model, &cluster, base.clone());
-    let schedule = engine.schedule(Secs::new(30.0)).expect("bounded schedule exists");
-    let rate = engine
-        .simulator()
-        .with_workload(shifted.clone())
-        .evaluate(&schedule.config)
-        .map(|e| 0.96 * e.throughput)
-        .unwrap_or(0.96 * schedule.estimate.throughput);
-    let arrivals = poisson_with_shift(&base, &shifted, rate, total / 4, total, 7);
-    let opts = ServeOptions {
-        slo: SloTargets::e2e(Secs::new(36.0)),
-        adaptive: true,
-        scheduler: SchedulerOptions::bounded(Secs::new(30.0)),
-        drift: DriftOptions {
-            window: 128,
-            min_samples: 48,
-            check_every: 16,
-            rel_threshold: 0.15,
-            consecutive: 2,
-        },
-        ..ServeOptions::default()
-    };
-    let report = ServeLoop::new(engine, &schedule.config, opts)
-        .expect("schedule is feasible")
-        .run(arrivals)
-        .expect("serve run completes");
-
-    assert_eq!(outcome.log, report.events.to_jsonl(), "event logs must be byte-identical");
-    let Report::Serve(from_config) = outcome.report else {
-        panic!("serve scenario must yield a serve report");
-    };
-    assert_eq!(from_config.completed, report.completed);
-    assert_eq!(from_config.final_schedule, report.final_schedule);
-}
-
-/// `scenarios/fleet-loss.toml` is a transcription of the fleet smoke
-/// topology (two pools, standby scale-up, replica loss + recovery); its
-/// fabric-plus-replica log must match the hand-written construction.
-#[test]
-fn fleet_loss_config_matches_code_construction() {
-    let outcome = run(&load("fleet-loss.toml")).expect("fleet-loss runs");
-
-    // The construction from fleet-smoke, with the shipped file's totals.
-    let total = 6000;
-    let model = ModelConfig::opt_13b();
-    let workload = Task::Translation.workload().expect("task statistics are valid");
-    let a40 = ClusterSpec::a40_cluster().subcluster(4).expect("4xA40 exists");
-    let a100 = ClusterSpec::a100_cluster().subcluster(4).expect("4xA100 exists");
-    let engine40 = engine_for(&model, &a40, workload.clone());
-    let engine100 = engine_for(&model, &a100, workload.clone());
-    let plan40 = engine40.schedule(Secs::INFINITY).expect("a40 plan exists");
-    let plan100 = engine100.schedule(Secs::INFINITY).expect("a100 plan exists");
-
-    let lat40 = plan40.estimate.latency.as_secs();
-    let lat100 = plan100.estimate.latency.as_secs();
-    let interactive_e2e = 0.5 * (lat40.min(lat100) + lat40.max(lat100));
-    let classes = vec![
-        SloClass::interactive("interactive", Secs::new(interactive_e2e)),
-        SloClass::batch("batch"),
-    ];
-
-    let thr40 = plan40.estimate.throughput;
-    let thr100 = plan100.estimate.throughput;
-    let fast_thr = thr40.max(thr100);
-    let slow_thr = thr40.min(thr100);
-    let tenants = vec![
-        TenantSpec {
-            tenant: 0,
-            class: 0,
-            process: ArrivalProcess::Poisson { rate_qps: 0.20 * fast_thr },
-        },
-        TenantSpec {
-            tenant: 1,
-            class: 0,
-            process: ArrivalProcess::Poisson { rate_qps: 0.15 * fast_thr },
-        },
-        TenantSpec {
-            tenant: 2,
-            class: 1,
-            process: ArrivalProcess::Poisson { rate_qps: 1.80 * slow_thr },
-        },
-        TenantSpec {
-            tenant: 3,
-            class: 1,
-            process: ArrivalProcess::Bursty {
-                rate_burst: 1.20 * slow_thr,
-                rate_lull: 0.40 * slow_thr,
-                dwell_burst: 20.0,
-                dwell_lull: 60.0,
-            },
-        },
-    ];
-    let trace = multi_tenant_trace(&workload, &tenants, total, 7);
-    let horizon = trace.last().map(|r| r.request.arrival).unwrap_or(0.0);
-
-    let faults = FaultSchedule::new(vec![
-        FaultEvent { t: 0.50 * horizon, kind: FaultKind::GpuFail { gpu: 1 } },
-        FaultEvent { t: 0.90 * horizon, kind: FaultKind::GpuRecover { gpu: 1 } },
-    ])
-    .expect("fault schedule is ordered");
-    let scale = vec![ScaleEvent { t: 0.55 * horizon, action: ScaleAction::Up { replica: 3 } }];
-
-    let opts = ServeOptions { adaptive: false, ..ServeOptions::default() };
-    let specs = vec![
-        ReplicaSpec::new("a40-0", engine40.clone(), plan40.config, opts.clone())
-            .expect("replica spec"),
-        ReplicaSpec::new("a40-1", engine40.clone(), plan40.config, opts.clone())
-            .expect("replica spec"),
-        ReplicaSpec::new("a100-0", engine100.clone(), plan100.config, opts.clone())
-            .expect("replica spec"),
-        ReplicaSpec::new("a40-standby", engine40.clone(), plan40.config, opts)
-            .expect("replica spec")
-            .standby(),
-    ];
-    let options =
-        FleetOptions { policy: DispatchPolicy::SloAware, classes, faults: Some(faults), scale };
-    let report =
-        Fleet::new(specs, options).expect("fleet builds").run(trace).expect("fleet run completes");
-
-    assert_eq!(outcome.log, fleet_log(&report), "event logs must be byte-identical");
-    let Report::Fleet(from_config) = outcome.report else {
-        panic!("fleet scenario must yield a fleet report");
-    };
-    assert_eq!(from_config.completed, report.completed);
-    assert_eq!(from_config.lost, 0, "no request may be lost across the replica failure");
-}
-
-/// The same fabric + per-replica concatenation the scenario digest covers.
-fn fleet_log(report: &FleetReport) -> String {
-    let mut all = report.events.to_jsonl();
-    for r in &report.replicas {
-        for s in &r.reports {
-            all.push_str(&s.events.to_jsonl());
-        }
-    }
-    all
-}
-
-/// `GOLDENS.toml` names exactly the shipped scenario files, each with a
-/// well-formed 16-hex-digit digest, and every shipped file validates.
-#[test]
-fn goldens_index_matches_shipped_scenarios() {
-    let dir = scenarios_dir();
-    let mut files: Vec<String> = std::fs::read_dir(&dir)
+/// The shipped scenario files, in file-name order.
+fn shipped_files() -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(scenarios_dir())
         .expect("scenarios dir exists")
         .filter_map(Result::ok)
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .filter(|n| n.ends_with(".toml") && n != "GOLDENS.toml")
         .collect();
     files.sort();
+    files
+}
+
+/// `GOLDENS.toml` as (file name, digest) pairs.
+fn goldens() -> Vec<(String, Value)> {
+    let text = std::fs::read_to_string(scenarios_dir().join("GOLDENS.toml")).expect("goldens");
+    let Value::Object(entries) = toml::parse(&text).expect("goldens parse") else {
+        panic!("GOLDENS.toml must be a table");
+    };
+    entries
+}
+
+fn serve(scenario: &Scenario) -> ServeReport {
+    match run(scenario).expect("scenario runs").report {
+        Report::Serve(report) => *report,
+        _ => panic!("`{}` must yield a serve report", scenario.name),
+    }
+}
+
+fn fleet(scenario: &Scenario) -> FleetReport {
+    match run(scenario).expect("scenario runs").report {
+        Report::Fleet(report) => report,
+        _ => panic!("`{}` must yield a fleet report", scenario.name),
+    }
+}
+
+/// Every shipped file's run reproduces the digest committed for it.
+#[test]
+fn shipped_scenarios_reproduce_their_golden_digests() {
+    let goldens = goldens();
+    for name in shipped_files() {
+        let outcome = run(&load(&name)).expect("shipped scenario runs");
+        let want = goldens.iter().find(|(n, _)| *n == name).map(|(_, d)| d);
+        assert_eq!(
+            want,
+            Some(&Value::Str(format_digest(outcome.digest))),
+            "{name}: event-log digest drifted from GOLDENS.toml"
+        );
+    }
+}
+
+/// `GOLDENS.toml` names exactly the shipped scenario files, each with a
+/// well-formed 16-hex-digit digest, and every shipped file validates.
+#[test]
+fn goldens_index_matches_shipped_scenarios() {
+    let files = shipped_files();
     assert!(!files.is_empty(), "shipped scenarios must exist");
 
     for name in &files {
@@ -218,10 +82,7 @@ fn goldens_index_matches_shipped_scenarios() {
         scenario.validate().expect("shipped scenario validates");
     }
 
-    let goldens = std::fs::read_to_string(dir.join("GOLDENS.toml")).expect("goldens exist");
-    let Value::Object(entries) = toml::parse(&goldens).expect("goldens parse") else {
-        panic!("GOLDENS.toml must be a table");
-    };
+    let entries = goldens();
     let mut locked: Vec<String> = entries.iter().map(|(k, _)| k.clone()).collect();
     locked.sort();
     assert_eq!(locked, files, "GOLDENS.toml must lock exactly the shipped scenarios");
@@ -235,4 +96,96 @@ fn goldens_index_matches_shipped_scenarios() {
             "golden `{name}` must be lowercase hex"
         );
     }
+}
+
+/// `serve-faults.toml`: the failure and the straggler are each detected
+/// once, failover, eviction and recovery all replan, and recovery
+/// reinstalls the original plan.
+#[test]
+fn serve_faults_detects_replans_and_restores_the_plan() {
+    let scenario = load("serve-faults.toml");
+    let Lowered::Serve(lowered) = lower(&scenario).expect("serve-faults lowers") else {
+        panic!("serve-faults.toml must lower to a serve run");
+    };
+    let original = lowered.schedule.config.describe();
+    let report = lowered.run().expect("serve-faults runs");
+    assert_eq!(report.faults_injected, 4, "every scheduled fault fires");
+    assert_eq!(report.faults_detected, 1, "the failure is detected exactly once");
+    assert_eq!(report.stragglers_detected, 1, "the straggler is confirmed exactly once");
+    assert!(report.replans >= 3, "failover, eviction and recovery all replan");
+    assert_eq!(report.final_schedule, original, "recovery restores the original plan");
+}
+
+/// `fleet-loss.toml`: under both round-robin and SLO-aware dispatch the
+/// replica loss strands work that is rerouted without losing, rejecting
+/// or double-counting a request, and SLO-aware dispatch strictly beats
+/// round-robin on interactive violations over the same stream and faults.
+#[test]
+fn fleet_loss_slo_aware_beats_round_robin() {
+    let interactive_violations = |r: &FleetReport| -> usize {
+        r.tenants.iter().filter(|t| t.class == "interactive").map(|t| t.slo.violations).sum()
+    };
+    let slo_aware = load("fleet-loss.toml");
+    let mut round_robin = slo_aware.clone();
+    let Mode::Fleet(cfg) = &mut round_robin.mode else {
+        panic!("fleet-loss.toml must be a fleet scenario");
+    };
+    cfg.policy = "round_robin".to_string();
+    let total = cfg.total;
+
+    let slo = fleet(&slo_aware);
+    let rr = fleet(&round_robin);
+    for (name, r) in [("round_robin", &rr), ("slo_aware", &slo)] {
+        assert_eq!(r.lost, 0, "{name}: replica loss must not lose requests");
+        assert_eq!(r.rejected, 0, "{name}: survivors must absorb all arrivals");
+        assert_eq!(r.dispatched, total, "{name}: every request dispatched exactly once");
+        assert_eq!(r.completed, total, "{name}: every request completes");
+        assert!(r.rerouted > 0, "{name}: the replica loss must strand work to reroute");
+        let by_tenant: usize = r.tenants.iter().map(|t| t.completed).sum();
+        assert_eq!(by_tenant, total, "{name}: per-tenant accounting conserves requests");
+        assert!(
+            r.tenants.iter().all(|t| t.slo.is_consistent()),
+            "{name}: SLO accounting inconsistent"
+        );
+    }
+    let (v_slo, v_rr) = (interactive_violations(&slo), interactive_violations(&rr));
+    assert!(v_slo < v_rr, "slo-aware must strictly beat round-robin ({v_slo} vs {v_rr})");
+}
+
+/// `serve-shift.toml` vs `serve-shift-static.toml`: live rescheduling
+/// strictly lowers the SLO-violation rate on the same shifted stream.
+#[test]
+fn serve_shift_adaptive_beats_static() {
+    let adaptive = serve(&load("serve-shift.toml"));
+    let frozen = serve(&load("serve-shift-static.toml"));
+    assert!(adaptive.events.len() >= 2000, "{} events", adaptive.events.len());
+    assert!(
+        adaptive.slo.violation_rate() < frozen.slo.violation_rate(),
+        "adaptive {} vs static {}",
+        adaptive.slo.violation_rate(),
+        frozen.slo.violation_rate()
+    );
+}
+
+/// `serve-straggler.toml`: evicting the straggler (the default policy)
+/// strictly lowers the SLO-violation rate against tolerating it, and
+/// loses nothing.
+#[test]
+fn serve_straggler_degrade_beats_tolerate() {
+    let degrade = load("serve-straggler.toml");
+    let mut tolerate = degrade.clone();
+    let Mode::Serve(cfg) = &mut tolerate.mode else {
+        panic!("serve-straggler.toml must be a serve scenario");
+    };
+    cfg.faults.as_mut().expect("serve-straggler.toml injects faults").evict_slowdown = Some(1e6);
+
+    let degrade = serve(&degrade);
+    let tolerate = serve(&tolerate);
+    assert_eq!(degrade.requests_lost, 0, "graceful degradation loses nothing");
+    assert!(
+        degrade.slo.violation_rate() < tolerate.slo.violation_rate(),
+        "degrade {} vs tolerate {}",
+        degrade.slo.violation_rate(),
+        tolerate.slo.violation_rate()
+    );
 }

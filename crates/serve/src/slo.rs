@@ -105,7 +105,8 @@ impl SloOutcome {
         }
     }
 
-    /// Internal-consistency invariants; the CI smoke run asserts these.
+    /// Internal-consistency invariants; the CI scenario smoke asserts these
+    /// on every shipped scenario.
     pub fn is_consistent(&self) -> bool {
         self.violations <= self.checked
             && self.ttft_violations <= self.violations

@@ -47,13 +47,13 @@ pub const CRATES: &[CrateInfo] = &[
     CrateInfo { dir: "baselines", ident: "exegpt_baselines", layer: 8 },
     CrateInfo { dir: "fleet", ident: "exegpt_fleet", layer: 9 },
     CrateInfo { dir: "scenario", ident: "exegpt_scenario", layer: 10 },
-    CrateInfo { dir: "bench", ident: "exegpt_bench", layer: 10 },
+    CrateInfo { dir: "bench", ident: "exegpt_bench", layer: 11 },
 ];
 
 /// A compact rendering of the layer order, used in L1 suggestions.
 pub const LAYER_ORDER: &str = "units/dist/model → cluster → profiler → sim → workload → \
                                core → runner → faults → serve/baselines → fleet → \
-                               scenario/bench";
+                               scenario → bench";
 
 /// Index of the crate whose directory under `crates/` is `dir`.
 pub fn crate_index_for_dir(dir: &str) -> Option<usize> {
@@ -168,9 +168,11 @@ mod tests {
         assert!(import_allowed(idx("serve"), idx("faults")));
         assert!(import_allowed(idx("workload"), idx("sim")));
         assert!(import_allowed(idx("bench"), idx("fleet")));
+        assert!(import_allowed(idx("bench"), idx("scenario")));
         assert!(!import_allowed(idx("sim"), idx("workload")));
         assert!(!import_allowed(idx("core"), idx("fleet")));
         assert!(!import_allowed(idx("faults"), idx("serve")));
+        assert!(!import_allowed(idx("scenario"), idx("bench")));
         assert!(!import_allowed(idx("serve"), idx("baselines")), "same layer is not an edge");
     }
 
