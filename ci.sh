@@ -12,13 +12,14 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
-cargo build --offline --release
+cargo build --offline --locked --release
 
 echo "==> cargo build --release (perfbench)"
 # perfbench/ is a workspace of its own, so the workspace build and tests
 # above never compile it; build it here so a library API change cannot
-# break the benchmark unseen.
-cargo build --offline --release --manifest-path perfbench/Cargo.toml
+# break the benchmark unseen. Both builds are --locked: a change that would
+# rewrite either Cargo.lock fails here, not in the benchmark harness.
+cargo build --offline --locked --release --manifest-path perfbench/Cargo.toml
 
 echo "==> xlint (workspace determinism + unit-safety lint)"
 # Archive the machine-readable report as a build artifact; the human run

@@ -11,10 +11,10 @@
 //!   properties can actually execute every case while reusing one profile.
 //!
 //! [`mutate_invalid`] takes a valid scenario and breaks it in one of the
-//! documented ways (unknown tag, negative rate, empty GPU pool, unknown
-//! key, overlapping fault windows, wrong type), returning the corrupted
-//! value tree and the key path the error must name — the negative-parse
-//! property closes the loop.
+//! documented ways (unknown tag, negative bound, empty GPU pool, unknown
+//! key, wrong type; the last two also inside array elements and flattened
+//! or tagged variants), returning the corrupted value tree and the key
+//! path the error must name — the negative-parse property closes the loop.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -451,78 +451,85 @@ pub fn arbitrary_fault_recovery(rng: &mut StdRng) -> Scenario {
 
 // --- invalid mutations ---------------------------------------------------
 
-/// Replaces the value at `path` (creating the leaf key if absent) inside
-/// an object tree.
-fn set_path(v: &mut Value, path: &[&str], new: Value) {
-    if path.is_empty() {
-        *v = new;
+/// Replaces the value at dotted `path` (segments may end in one `[i]`
+/// index) inside an object tree, creating the leaf key if absent.
+fn set_path(v: &mut Value, path: &str, new: Value) {
+    let (head, rest) = match path.split_once('.') {
+        Some((head, rest)) => (head, Some(rest)),
+        None => (path, None),
+    };
+    let (key, index) = match head.split_once('[') {
+        Some((key, i)) => (key, i.trim_end_matches(']').parse::<usize>().ok()),
+        None => (head, None),
+    };
+    let Value::Object(fields) = v else { return };
+    let Some(at) = fields.iter().position(|(k, _)| k == key) else {
+        if rest.is_none() && index.is_none() {
+            fields.push((key.to_string(), new));
+        }
         return;
-    }
-    if let Value::Object(fields) = v {
-        if let Some((_, child)) = fields.iter_mut().find(|(k, _)| k == path[0]) {
-            set_path(child, &path[1..], new);
-            return;
-        }
-        if path.len() == 1 {
-            fields.push((path[0].to_string(), new));
+    };
+    let mut child = &mut fields[at].1;
+    if let Some(i) = index {
+        match child {
+            Value::Array(items) if i < items.len() => child = &mut items[i],
+            _ => return,
         }
     }
+    match rest {
+        Some(rest) => set_path(child, rest, new),
+        None => *child = new,
+    }
+}
+
+/// Sets `path` in `v` to `new`, returning the tree and the path the error
+/// must name.
+fn corrupt(mut v: Value, path: &str, new: Value) -> (Value, String) {
+    set_path(&mut v, path, new);
+    (v, path.to_string())
 }
 
 /// Breaks a valid scenario in one schema-violating way. Returns the
 /// corrupted value tree and the key path the resulting
 /// [`ScenarioError`](crate::ScenarioError) must name.
 pub fn mutate_invalid(rng: &mut StdRng, scenario: &Scenario) -> (Value, String) {
-    let mut v = scenario.to_value();
-    match rng.gen_range(0..6_u32) {
+    let v = scenario.to_value();
+    let serve_event = match &scenario.mode {
+        Mode::Serve(ServeConfig { faults: Some(f), .. }) => f.events.first(),
+        _ => None,
+    };
+    match rng.gen_range(0..8_u32) {
         // Wrong type: seed becomes a string.
-        0 => {
-            set_path(&mut v, &["seed"], Value::Str("not-a-number".to_string()));
-            (v, "seed".to_string())
-        }
+        0 => corrupt(v, "seed", Value::Str("not-a-number".to_string())),
         // Unknown enum tag on the workload.
-        1 => {
-            set_path(&mut v, &["workload", "kind"], Value::Str("mystery".to_string()));
-            (v, "workload.kind".to_string())
-        }
+        1 => corrupt(v, "workload.kind", Value::Str("mystery".to_string())),
         // Unknown model preset (structured validate error, not a panic).
-        2 => {
-            set_path(&mut v, &["model", "preset"], Value::Str("warp-9".to_string()));
-            (v, "model.preset".to_string())
-        }
+        2 => corrupt(v, "model.preset", Value::Str("warp-9".to_string())),
         // Unknown key injected into the scheduler table.
-        3 => {
-            set_path(&mut v, &["scheduler", "warp_speed"], Value::Bool(true));
-            (v, "scheduler.warp_speed".to_string())
-        }
+        3 => corrupt(v, "scheduler.warp_speed", Value::Bool(true)),
         // Negative / non-positive scheduler bound.
-        4 => {
-            set_path(&mut v, &["scheduler", "latency_bound_secs"], Value::F64(-30.0));
-            (v, "scheduler.latency_bound_secs".to_string())
-        }
-        // Empty GPU pool: serve/replay top-level cluster, or a fleet
-        // pool's cluster.
-        _ => match &scenario.mode {
-            Mode::Fleet(_) => {
-                // The first pool's cluster loses its GPUs.
-                if let Value::Object(fields) = &mut v {
-                    if let Some((_, Value::Object(ff))) =
-                        fields.iter_mut().find(|(k, _)| k == "fleet")
-                    {
-                        if let Some((_, Value::Array(items))) =
-                            ff.iter_mut().find(|(k, _)| k == "pools")
-                        {
-                            if let Some(first) = items.first_mut() {
-                                set_path(first, &["cluster", "gpus"], Value::U64(0));
-                            }
-                        }
-                    }
-                }
-                (v, "fleet.pools[0].cluster.gpus".to_string())
+        4 => corrupt(v, "scheduler.latency_bound_secs", Value::F64(-30.0)),
+        // Empty GPU pool: serve/replay top-level cluster, or the first
+        // fleet pool's cluster.
+        5 => match &scenario.mode {
+            Mode::Fleet(_) => corrupt(v, "fleet.pools[0].cluster.gpus", Value::U64(0)),
+            _ => corrupt(v, "cluster.gpus", Value::U64(0)),
+        },
+        // Unknown key inside an array element (fleets), or inside a nested
+        // table.
+        6 => match &scenario.mode {
+            Mode::Fleet(_) => corrupt(v, "fleet.pools[0].cluster.warp", Value::Bool(true)),
+            _ => corrupt(v, "cluster.warp", Value::Bool(true)),
+        },
+        // Wrong type inside a flattened, tagged fault event, or inside a
+        // tagged workload variant.
+        _ => match (serve_event, &scenario.workload) {
+            (Some(e), _) if !matches!(e.kind, FaultKindConfig::LinkDegrade { .. }) => {
+                corrupt(v, "serve.faults.events[0].gpu", Value::Str("x".to_string()))
             }
-            _ => {
-                set_path(&mut v, &["cluster", "gpus"], Value::U64(0));
-                (v, "cluster.gpus".to_string())
+            (_, WorkloadConfig::Task { .. }) => corrupt(v, "workload.task", Value::U64(7)),
+            (_, WorkloadConfig::Custom { .. }) => {
+                corrupt(v, "workload.input.max_len", Value::Str("x".to_string()))
             }
         },
     }

@@ -17,10 +17,12 @@
 //!
 //! * **parse** ([`Scenario::from_toml_str`] / [`Scenario::from_json_str`])
 //!   rejects malformed text with a line number, and schema mismatches with
-//!   the offending *key path* (`serve.arrivals.rate.qps`) — never a panic;
+//!   the offending *key path* (`serve.arrivals.rate.qps`) — never a panic.
+//!   The schema types derive `Serialize`/`Deserialize`; their
+//!   `#[serde(...)]` attributes define the format;
 //! * **validate** ([`Scenario::validate`]) enforces the semantic rules:
 //!   positive rates, non-empty GPU pools, resolvable cross-references,
-//!   non-overlapping fault windows;
+//!   time-ordered, non-overlapping fault windows;
 //! * **lower**/[`run`] build the real objects and execute deterministically
 //!   ([`Outcome::digest`] is FNV-1a over the run's event log).
 //!
@@ -33,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arbitrary;
-pub mod decode;
 mod error;
 mod lower;
 pub mod schema;

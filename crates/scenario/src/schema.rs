@@ -3,20 +3,21 @@
 //! A [`Scenario`] is a complete, self-contained description of a run:
 //! model, cluster (or per-pool clusters for a fleet), workload
 //! distributions, scheduler constraints, arrival process, SLO targets,
-//! fault schedule, and the seed. The tree decodes from TOML or JSON
-//! through the path-tracked [`crate::decode`] helpers — every error names
-//! the offending key — and [`Scenario::validate`] enforces the semantic
-//! rules (positive rates, non-empty GPU pools, non-overlapping fault
-//! windows, resolvable cross-references) before lowering is attempted.
+//! fault schedule, and the seed. Every type derives `Serialize` and
+//! `Deserialize`: the `#[serde(...)]` attributes are the file format
+//! (`kind`-tagged tables, defaults, flattened `t_secs`/`t_frac` and mode
+//! sections, unknown keys rejected), and every decode error names the
+//! offending key path. [`Scenario::validate`] then enforces the semantic
+//! rules (positive rates, non-empty GPU pools, time-ordered and
+//! non-overlapping fault windows, resolvable cross-references) before
+//! lowering is attempted.
 //!
-//! Serialization ([`Serialize::to_value`]) is canonical: every concrete
-//! field is emitted, optional fields only when present, so
-//! `decode(to_value(s)) == s` exactly — the identity the round-trip
-//! property suite pins for both TOML and JSON.
+//! Serialization is canonical: every concrete field is emitted, optional
+//! fields only when present, so `decode(to_value(s)) == s` exactly — the
+//! identity the round-trip property suite pins for both TOML and JSON.
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::decode::{join, parse_err, validate_err, Obj};
 use crate::error::ScenarioError;
 
 /// Known model presets, in `ModelConfig` constructor order.
@@ -42,14 +43,31 @@ pub const POLICIES: &[&str] = &["rra", "waa_compute", "waa_memory"];
 pub const DISPATCH_POLICIES: &[&str] =
     &["round_robin", "least_outstanding", "kv_headroom", "slo_aware"];
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// Builds a [`ScenarioError::Validate`] at `path`.
+fn validate_err(path: &str, why: impl Into<String>) -> ScenarioError {
+    ScenarioError::Validate { path: path.to_string(), why: why.into() }
 }
 
-fn push_opt(fields: &mut Vec<(&str, Value)>, key: &'static str, v: Option<Value>) {
-    if let Some(v) = v {
-        fields.push((key, v));
+/// Joins a parent path and a key into `parent.key` (or `key` at the root).
+fn join(parent: &str, key: &str) -> String {
+    if parent.is_empty() {
+        key.to_string()
+    } else {
+        format!("{parent}.{key}")
     }
+}
+
+/// Joins a parent path and an index into `parent[i]`.
+fn join_index(parent: &str, index: usize) -> String {
+    format!("{parent}[{index}]")
+}
+
+fn default_true() -> bool {
+    true
+}
+
+fn default_capacity_of() -> String {
+    "base".to_string()
 }
 
 fn require_finite(x: f64, path: &str, what: &str) -> Result<(), ScenarioError> {
@@ -72,28 +90,33 @@ fn require_pos(x: f64, path: &str, what: &str) -> Result<(), ScenarioError> {
 // --- scenario root -------------------------------------------------------
 
 /// A complete declarative run description.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// Scenario name (reports, logs).
     pub name: String,
     /// Seed for every stochastic choice in the run.
+    #[serde(default)]
     pub seed: u64,
     /// The model.
     pub model: ModelSpec,
     /// The cluster (required for serve/replay; fleets declare per-pool
     /// clusters instead).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub cluster: Option<ClusterConfig>,
     /// Input/output length distributions.
     pub workload: WorkloadConfig,
     /// Scheduler constraints and tolerances.
     pub scheduler: SchedulerConfig,
     /// What to run: exactly one of serve, fleet, or replay.
+    #[serde(flatten)]
     pub mode: Mode,
 }
 
 /// The execution mode, written as exactly one top-level `[serve]`,
 /// `[fleet]` or `[replay]` section.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum Mode {
     /// A single-replica online serving run.
     Serve(ServeConfig),
@@ -103,25 +126,6 @@ pub enum Mode {
     Replay(ReplayConfig),
 }
 
-impl Serialize for Scenario {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("name", Value::Str(self.name.clone())),
-            ("seed", Value::U64(self.seed)),
-            ("model", self.model.to_value()),
-        ];
-        push_opt(&mut fields, "cluster", self.cluster.as_ref().map(Serialize::to_value));
-        fields.push(("workload", self.workload.to_value()));
-        fields.push(("scheduler", self.scheduler.to_value()));
-        match &self.mode {
-            Mode::Serve(c) => fields.push(("serve", c.to_value())),
-            Mode::Fleet(c) => fields.push(("fleet", c.to_value())),
-            Mode::Replay(c) => fields.push(("replay", c.to_value())),
-        }
-        obj(fields)
-    }
-}
-
 impl Scenario {
     /// Decodes a scenario from a parsed value tree.
     ///
@@ -129,27 +133,7 @@ impl Scenario {
     ///
     /// Returns a parse error naming the offending key path.
     pub fn decode(v: &Value) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, "")?;
-        let name = o.req_str("name")?;
-        let seed = o.opt_u64("seed")?.unwrap_or(0);
-        let model = ModelSpec::decode(o.req("model")?, &o.child_path("model"))?;
-        let cluster = o.opt("cluster").map(|v| ClusterConfig::decode(v, "cluster")).transpose()?;
-        let workload = WorkloadConfig::decode(o.req("workload")?, &o.child_path("workload"))?;
-        let scheduler = SchedulerConfig::decode(o.req("scheduler")?, &o.child_path("scheduler"))?;
-        let serve = o.opt("serve").map(|v| ServeConfig::decode(v, "serve")).transpose()?;
-        let fleet = o.opt("fleet").map(|v| FleetConfig::decode(v, "fleet")).transpose()?;
-        let replay = o.opt("replay").map(|v| ReplayConfig::decode(v, "replay")).transpose()?;
-        o.finish()?;
-        let mode = match (serve, fleet, replay) {
-            (Some(c), None, None) => Mode::Serve(c),
-            (None, Some(c), None) => Mode::Fleet(c),
-            (None, None, Some(c)) => Mode::Replay(c),
-            (None, None, None) => {
-                return Err(parse_err("", "one of [serve], [fleet] or [replay] is required"))
-            }
-            _ => return Err(parse_err("", "[serve], [fleet] and [replay] are mutually exclusive")),
-        };
-        Ok(Scenario { name, seed, model, cluster, workload, scheduler, mode })
+        Scenario::from_value(v).map_err(|e| ScenarioError::Parse { path: e.path, why: e.message })
     }
 
     /// Checks every semantic rule the schema cannot express.
@@ -196,26 +180,14 @@ impl Scenario {
 // --- model / cluster -----------------------------------------------------
 
 /// The model to deploy.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ModelSpec {
     /// One of [`MODEL_PRESETS`].
     pub preset: String,
 }
 
-impl Serialize for ModelSpec {
-    fn to_value(&self) -> Value {
-        obj(vec![("preset", Value::Str(self.preset.clone()))])
-    }
-}
-
 impl ModelSpec {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let preset = o.req_str("preset")?;
-        o.finish()?;
-        Ok(ModelSpec { preset })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         if MODEL_PRESETS.contains(&self.preset.as_str()) {
             Ok(())
@@ -234,31 +206,17 @@ impl ModelSpec {
 
 /// A GPU pool: a preset cluster, optionally narrowed to its first `gpus`
 /// devices.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClusterConfig {
     /// One of [`CLUSTER_PRESETS`] (`a40` = 6×8 A40, `a100` = 2×8 A100).
     pub preset: String,
     /// Take the first `gpus` devices (omit for the full cluster).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub gpus: Option<usize>,
 }
 
-impl Serialize for ClusterConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("preset", Value::Str(self.preset.clone()))];
-        push_opt(&mut fields, "gpus", self.gpus.map(|n| Value::U64(n as u64)));
-        obj(fields)
-    }
-}
-
 impl ClusterConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let preset = o.req_str("preset")?;
-        let gpus = o.opt_usize("gpus")?;
-        o.finish()?;
-        Ok(ClusterConfig { preset, gpus })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         if !CLUSTER_PRESETS.contains(&self.preset.as_str()) {
             return Err(validate_err(
@@ -281,7 +239,8 @@ impl ClusterConfig {
 
 /// Input/output length distributions: a named paper task (optionally
 /// rescaled) or fully custom distributions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum WorkloadConfig {
     /// A Table 3 task, with optional output-mean/std rescaling (drift
     /// studies).
@@ -289,8 +248,10 @@ pub enum WorkloadConfig {
         /// One of [`TASKS`].
         task: String,
         /// Scale the output mean by this factor.
+        #[serde(skip_serializing_if = "Option::is_none")]
         scale_mean: Option<f64>,
         /// Scale the output std by this factor.
+        #[serde(skip_serializing_if = "Option::is_none")]
         scale_std: Option<f64>,
     },
     /// Explicit distributions for both sides.
@@ -302,45 +263,7 @@ pub enum WorkloadConfig {
     },
 }
 
-impl Serialize for WorkloadConfig {
-    fn to_value(&self) -> Value {
-        match self {
-            WorkloadConfig::Task { task, scale_mean, scale_std } => {
-                let mut fields = vec![
-                    ("kind", Value::Str("task".to_string())),
-                    ("task", Value::Str(task.clone())),
-                ];
-                push_opt(&mut fields, "scale_mean", scale_mean.map(Value::F64));
-                push_opt(&mut fields, "scale_std", scale_std.map(Value::F64));
-                obj(fields)
-            }
-            WorkloadConfig::Custom { input, output } => obj(vec![
-                ("kind", Value::Str("custom".to_string())),
-                ("input", input.to_value()),
-                ("output", output.to_value()),
-            ]),
-        }
-    }
-}
-
 impl WorkloadConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["task", "custom"])?.as_str() {
-            "task" => WorkloadConfig::Task {
-                task: o.req_str("task")?,
-                scale_mean: o.opt_f64("scale_mean")?,
-                scale_std: o.opt_f64("scale_std")?,
-            },
-            _ => WorkloadConfig::Custom {
-                input: LengthDistConfig::decode(o.req("input")?, &o.child_path("input"))?,
-                output: LengthDistConfig::decode(o.req("output")?, &o.child_path("output"))?,
-            },
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         match self {
             WorkloadConfig::Task { task, scale_mean, scale_std } => {
@@ -368,7 +291,8 @@ impl WorkloadConfig {
 
 /// A token-length distribution, mirroring `exegpt_dist::LengthDist`
 /// constructors.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum LengthDistConfig {
     /// Normal truncated to `[1, max_len]`.
     TruncatedNormal {
@@ -408,68 +332,7 @@ pub enum LengthDistConfig {
     },
 }
 
-impl Serialize for LengthDistConfig {
-    fn to_value(&self) -> Value {
-        match self {
-            LengthDistConfig::TruncatedNormal { mean, std, max_len } => obj(vec![
-                ("kind", Value::Str("truncated_normal".to_string())),
-                ("mean", Value::F64(*mean)),
-                ("std", Value::F64(*std)),
-                ("max_len", Value::U64(*max_len as u64)),
-            ]),
-            LengthDistConfig::SkewNormal { mean, std, skewness, max_len } => obj(vec![
-                ("kind", Value::Str("skew_normal".to_string())),
-                ("mean", Value::F64(*mean)),
-                ("std", Value::F64(*std)),
-                ("skewness", Value::F64(*skewness)),
-                ("max_len", Value::U64(*max_len as u64)),
-            ]),
-            LengthDistConfig::LogNormal { mean, std, max_len } => obj(vec![
-                ("kind", Value::Str("log_normal".to_string())),
-                ("mean", Value::F64(*mean)),
-                ("std", Value::F64(*std)),
-                ("max_len", Value::U64(*max_len as u64)),
-            ]),
-            LengthDistConfig::PointMass { len, max_len } => obj(vec![
-                ("kind", Value::Str("point_mass".to_string())),
-                ("len", Value::U64(*len as u64)),
-                ("max_len", Value::U64(*max_len as u64)),
-            ]),
-        }
-    }
-}
-
 impl LengthDistConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out =
-            match o.tag(&["truncated_normal", "skew_normal", "log_normal", "point_mass"])?.as_str()
-            {
-                "truncated_normal" => LengthDistConfig::TruncatedNormal {
-                    mean: o.req_f64("mean")?,
-                    std: o.req_f64("std")?,
-                    max_len: o.req_usize("max_len")?,
-                },
-                "skew_normal" => LengthDistConfig::SkewNormal {
-                    mean: o.req_f64("mean")?,
-                    std: o.req_f64("std")?,
-                    skewness: o.req_f64("skewness")?,
-                    max_len: o.req_usize("max_len")?,
-                },
-                "log_normal" => LengthDistConfig::LogNormal {
-                    mean: o.req_f64("mean")?,
-                    std: o.req_f64("std")?,
-                    max_len: o.req_usize("max_len")?,
-                },
-                _ => LengthDistConfig::PointMass {
-                    len: o.req_usize("len")?,
-                    max_len: o.req_usize("max_len")?,
-                },
-            };
-        o.finish()?;
-        Ok(out)
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         let check_cap = |max_len: usize| {
             if max_len == 0 {
@@ -511,59 +374,23 @@ impl LengthDistConfig {
 // --- scheduler -----------------------------------------------------------
 
 /// Scheduler constraints and search tolerances.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SchedulerConfig {
     /// Latency bound in seconds (`inf` = unconstrained).
     pub latency_bound_secs: f64,
     /// Latency tolerance ε_L as a fraction of the bound (default 0.05).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub eps_latency_frac: Option<f64>,
     /// Throughput tolerance ε_T (default 0.02).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub eps_throughput_frac: Option<f64>,
     /// Policies to search, a subset of [`POLICIES`] (default all).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub policies: Option<Vec<String>>,
 }
 
-impl Serialize for SchedulerConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("latency_bound_secs", Value::F64(self.latency_bound_secs))];
-        push_opt(&mut fields, "eps_latency_frac", self.eps_latency_frac.map(Value::F64));
-        push_opt(&mut fields, "eps_throughput_frac", self.eps_throughput_frac.map(Value::F64));
-        push_opt(
-            &mut fields,
-            "policies",
-            self.policies
-                .as_ref()
-                .map(|p| Value::Array(p.iter().map(|s| Value::Str(s.clone())).collect())),
-        );
-        obj(fields)
-    }
-}
-
 impl SchedulerConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let latency_bound_secs = o.req_f64("latency_bound_secs")?;
-        let eps_latency_frac = o.opt_f64("eps_latency_frac")?;
-        let eps_throughput_frac = o.opt_f64("eps_throughput_frac")?;
-        let policies = match o.opt_array("policies")? {
-            Some(items) => {
-                let mut names = Vec::new();
-                for (item, item_path) in items {
-                    match item {
-                        Value::Str(s) => names.push(s.clone()),
-                        other => {
-                            return Err(crate::decode::expected(&item_path, "a string", other))
-                        }
-                    }
-                }
-                Some(names)
-            }
-            None => None,
-        };
-        o.finish()?;
-        Ok(SchedulerConfig { latency_bound_secs, eps_latency_frac, eps_throughput_frac, policies })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         let bound_path = join(path, "latency_bound_secs");
         if self.latency_bound_secs.is_nan() || self.latency_bound_secs <= 0.0 {
@@ -592,13 +419,13 @@ impl SchedulerConfig {
             for (i, name) in policies.iter().enumerate() {
                 if !POLICIES.contains(&name.as_str()) {
                     return Err(validate_err(
-                        &crate::decode::join_index(&p, i),
+                        &join_index(&p, i),
                         format!("unknown policy `{name}`; expected one of {}", POLICIES.join(", ")),
                     ));
                 }
                 if policies[..i].contains(name) {
                     return Err(validate_err(
-                        &crate::decode::join_index(&p, i),
+                        &join_index(&p, i),
                         format!("policy `{name}` listed twice"),
                     ));
                 }
@@ -611,7 +438,8 @@ impl SchedulerConfig {
 // --- shared specs --------------------------------------------------------
 
 /// An offered-load specification.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum RateSpec {
     /// An absolute rate in queries per second.
     Qps {
@@ -625,6 +453,7 @@ pub enum RateSpec {
         /// Fraction of the plan's capacity (0, 1].
         frac: f64,
         /// `base` or `shifted`.
+        #[serde(default = "default_capacity_of")]
         of: String,
     },
     /// A fraction of a pool's plan throughput (fleet mode). `pool` is
@@ -637,41 +466,7 @@ pub enum RateSpec {
     },
 }
 
-impl Serialize for RateSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            RateSpec::Qps { qps } => {
-                obj(vec![("kind", Value::Str("qps".to_string())), ("qps", Value::F64(*qps))])
-            }
-            RateSpec::CapacityFrac { frac, of } => obj(vec![
-                ("kind", Value::Str("capacity_frac".to_string())),
-                ("frac", Value::F64(*frac)),
-                ("of", Value::Str(of.clone())),
-            ]),
-            RateSpec::PoolCapacityFrac { frac, pool } => obj(vec![
-                ("kind", Value::Str("pool_capacity_frac".to_string())),
-                ("frac", Value::F64(*frac)),
-                ("pool", Value::Str(pool.clone())),
-            ]),
-        }
-    }
-}
-
 impl RateSpec {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["qps", "capacity_frac", "pool_capacity_frac"])?.as_str() {
-            "qps" => RateSpec::Qps { qps: o.req_f64("qps")? },
-            "capacity_frac" => RateSpec::CapacityFrac {
-                frac: o.req_f64("frac")?,
-                of: o.opt_str("of")?.unwrap_or_else(|| "base".to_string()),
-            },
-            _ => RateSpec::PoolCapacityFrac { frac: o.req_f64("frac")?, pool: o.req_str("pool")? },
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
     /// Mode-independent value checks; mode-specific variant restrictions
     /// live with the mode validators.
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
@@ -697,38 +492,17 @@ impl RateSpec {
 /// A point on the run's virtual clock: absolute seconds, or a fraction of
 /// the trace horizon (last arrival time; fractions above 1 land in the
 /// backlog drain after the last arrival).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TimeSpec {
     /// Absolute virtual seconds.
+    #[serde(rename = "t_secs")]
     Secs(f64),
     /// Fraction of the trace horizon (≥ 0).
+    #[serde(rename = "t_frac")]
     HorizonFrac(f64),
 }
 
 impl TimeSpec {
-    /// Emits the flattened `t_secs` / `t_frac` field.
-    fn emit(&self, fields: &mut Vec<(&str, Value)>) {
-        match self {
-            TimeSpec::Secs(s) => fields.push(("t_secs", Value::F64(*s))),
-            TimeSpec::HorizonFrac(f) => fields.push(("t_frac", Value::F64(*f))),
-        }
-    }
-
-    /// Decodes from the flattened fields of `o` (exactly one of `t_secs`,
-    /// `t_frac`).
-    fn decode(o: &mut Obj<'_>) -> Result<Self, ScenarioError> {
-        let secs = o.opt_f64("t_secs")?;
-        let frac = o.opt_f64("t_frac")?;
-        match (secs, frac) {
-            (Some(s), None) => Ok(TimeSpec::Secs(s)),
-            (None, Some(f)) => Ok(TimeSpec::HorizonFrac(f)),
-            (None, None) => Err(parse_err(o.path(), "one of `t_secs` or `t_frac` is required")),
-            (Some(_), Some(_)) => {
-                Err(parse_err(o.path(), "`t_secs` and `t_frac` are mutually exclusive"))
-            }
-        }
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         match self {
             TimeSpec::Secs(s) => {
@@ -754,68 +528,33 @@ impl TimeSpec {
 // --- serve mode ----------------------------------------------------------
 
 /// A single-replica online serving run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServeConfig {
     /// Requests in the arrival stream.
     pub total: usize,
     /// Live drift-triggered rescheduling on (`false` = static plan).
+    #[serde(default = "default_true")]
     pub adaptive: bool,
     /// §5.2 dynamic-adjustment threshold (default 0.15).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub adjust_threshold: Option<f64>,
     /// Warm-started incremental replanning (default true).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub incremental_replan: Option<bool>,
     /// The arrival process.
     pub arrivals: ArrivalsConfig,
     /// Per-request latency targets.
     pub slo: SloConfig,
     /// Drift-detector tuning (defaults when omitted).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub drift: Option<DriftConfig>,
     /// Fault injection (off when omitted).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub faults: Option<FaultsConfig>,
 }
 
-impl Serialize for ServeConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("total", Value::U64(self.total as u64)),
-            ("adaptive", Value::Bool(self.adaptive)),
-        ];
-        push_opt(&mut fields, "adjust_threshold", self.adjust_threshold.map(Value::F64));
-        push_opt(&mut fields, "incremental_replan", self.incremental_replan.map(Value::Bool));
-        fields.push(("arrivals", self.arrivals.to_value()));
-        fields.push(("slo", self.slo.to_value()));
-        push_opt(&mut fields, "drift", self.drift.as_ref().map(Serialize::to_value));
-        push_opt(&mut fields, "faults", self.faults.as_ref().map(Serialize::to_value));
-        obj(fields)
-    }
-}
-
 impl ServeConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let total = o.req_usize("total")?;
-        let adaptive = o.opt_bool("adaptive")?.unwrap_or(true);
-        let adjust_threshold = o.opt_f64("adjust_threshold")?;
-        let incremental_replan = o.opt_bool("incremental_replan")?;
-        let arrivals = ArrivalsConfig::decode(o.req("arrivals")?, &o.child_path("arrivals"))?;
-        let slo = SloConfig::decode(o.req("slo")?, &o.child_path("slo"))?;
-        let drift =
-            o.opt("drift").map(|v| DriftConfig::decode(v, &join(path, "drift"))).transpose()?;
-        let faults =
-            o.opt("faults").map(|v| FaultsConfig::decode(v, &join(path, "faults"))).transpose()?;
-        o.finish()?;
-        Ok(ServeConfig {
-            total,
-            adaptive,
-            adjust_threshold,
-            incremental_replan,
-            arrivals,
-            slo,
-            drift,
-            faults,
-        })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         if self.total == 0 {
             return Err(validate_err(&join(path, "total"), "must be at least 1"));
@@ -836,7 +575,8 @@ impl ServeConfig {
 }
 
 /// The serve-mode arrival process.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum ArrivalsConfig {
     /// Stationary Poisson arrivals.
     Poisson {
@@ -864,63 +604,12 @@ pub enum ArrivalsConfig {
         /// Output-mean scale factor after the shift.
         scale_mean: f64,
         /// Output-std scale factor after the shift.
+        #[serde(skip_serializing_if = "Option::is_none")]
         scale_std: Option<f64>,
     },
 }
 
-impl Serialize for ArrivalsConfig {
-    fn to_value(&self) -> Value {
-        match self {
-            ArrivalsConfig::Poisson { rate } => {
-                obj(vec![("kind", Value::Str("poisson".to_string())), ("rate", rate.to_value())])
-            }
-            ArrivalsConfig::Bursty { rate_burst, rate_lull, dwell_burst_secs, dwell_lull_secs } => {
-                obj(vec![
-                    ("kind", Value::Str("bursty".to_string())),
-                    ("rate_burst", rate_burst.to_value()),
-                    ("rate_lull", rate_lull.to_value()),
-                    ("dwell_burst_secs", Value::F64(*dwell_burst_secs)),
-                    ("dwell_lull_secs", Value::F64(*dwell_lull_secs)),
-                ])
-            }
-            ArrivalsConfig::PoissonWithShift { rate, shift_after_frac, scale_mean, scale_std } => {
-                let mut fields = vec![
-                    ("kind", Value::Str("poisson_with_shift".to_string())),
-                    ("rate", rate.to_value()),
-                    ("shift_after_frac", Value::F64(*shift_after_frac)),
-                    ("scale_mean", Value::F64(*scale_mean)),
-                ];
-                push_opt(&mut fields, "scale_std", scale_std.map(Value::F64));
-                obj(fields)
-            }
-        }
-    }
-}
-
 impl ArrivalsConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["poisson", "bursty", "poisson_with_shift"])?.as_str() {
-            "poisson" => ArrivalsConfig::Poisson {
-                rate: RateSpec::decode(o.req("rate")?, &o.child_path("rate"))?,
-            },
-            "bursty" => ArrivalsConfig::Bursty {
-                rate_burst: RateSpec::decode(o.req("rate_burst")?, &o.child_path("rate_burst"))?,
-                rate_lull: RateSpec::decode(o.req("rate_lull")?, &o.child_path("rate_lull"))?,
-                dwell_burst_secs: o.req_f64("dwell_burst_secs")?,
-                dwell_lull_secs: o.req_f64("dwell_lull_secs")?,
-            },
-            _ => ArrivalsConfig::PoissonWithShift {
-                rate: RateSpec::decode(o.req("rate")?, &o.child_path("rate"))?,
-                shift_after_frac: o.req_f64("shift_after_frac")?,
-                scale_mean: o.req_f64("scale_mean")?,
-                scale_std: o.opt_f64("scale_std")?,
-            },
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         let no_pool = |rate: &RateSpec, rate_path: &str| -> Result<(), ScenarioError> {
             if matches!(rate, RateSpec::PoolCapacityFrac { .. }) {
@@ -980,38 +669,21 @@ impl ArrivalsConfig {
 }
 
 /// Per-request latency targets (omitted = unconstrained).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SloConfig {
     /// Max time to first token (seconds).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub ttft_secs: Option<f64>,
     /// Max per-generated-token latency (seconds).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub per_token_secs: Option<f64>,
     /// Max end-to-end latency (seconds).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub e2e_secs: Option<f64>,
 }
 
-impl Serialize for SloConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        push_opt(&mut fields, "ttft_secs", self.ttft_secs.map(Value::F64));
-        push_opt(&mut fields, "per_token_secs", self.per_token_secs.map(Value::F64));
-        push_opt(&mut fields, "e2e_secs", self.e2e_secs.map(Value::F64));
-        obj(fields)
-    }
-}
-
 impl SloConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = SloConfig {
-            ttft_secs: o.opt_f64("ttft_secs")?,
-            per_token_secs: o.opt_f64("per_token_secs")?,
-            e2e_secs: o.opt_f64("e2e_secs")?,
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         for (key, v) in [
             ("ttft_secs", self.ttft_secs),
@@ -1027,7 +699,8 @@ impl SloConfig {
 }
 
 /// Drift-detector tuning (mirrors `exegpt_serve::DriftOptions`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DriftConfig {
     /// Sliding-window capacity in completed requests.
     pub window: usize,
@@ -1041,32 +714,7 @@ pub struct DriftConfig {
     pub consecutive: usize,
 }
 
-impl Serialize for DriftConfig {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("window", Value::U64(self.window as u64)),
-            ("min_samples", Value::U64(self.min_samples as u64)),
-            ("check_every", Value::U64(self.check_every as u64)),
-            ("rel_threshold", Value::F64(self.rel_threshold)),
-            ("consecutive", Value::U64(self.consecutive as u64)),
-        ])
-    }
-}
-
 impl DriftConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = DriftConfig {
-            window: o.req_usize("window")?,
-            min_samples: o.req_usize("min_samples")?,
-            check_every: o.req_usize("check_every")?,
-            rel_threshold: o.req_f64("rel_threshold")?,
-            consecutive: o.req_usize("consecutive")?,
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         for (key, n) in [
             ("window", self.window),
@@ -1089,73 +737,33 @@ impl DriftConfig {
 }
 
 /// Fault injection: tuning plus a schedule of device events.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultsConfig {
     /// Heartbeat timeout before a failure is detected (default 0.5).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub detection_delay_secs: Option<f64>,
     /// Straggler slowdown at or above which eviction beats tolerance
     /// (default 2.0).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub evict_slowdown: Option<f64>,
     /// Retry budget per request (default 5).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_retries: Option<usize>,
     /// Exponential retry backoff base (default 0.25).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub backoff_base_secs: Option<f64>,
     /// Observed/expected ratio counting as a straggler hit (default 1.25).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub straggler_rel_threshold: Option<f64>,
     /// Consecutive hits to confirm a straggler (default 3).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub straggler_consecutive: Option<usize>,
     /// The device events, in activation-time order.
     pub events: Vec<FaultEventConfig>,
 }
 
-impl Serialize for FaultsConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        push_opt(&mut fields, "detection_delay_secs", self.detection_delay_secs.map(Value::F64));
-        push_opt(&mut fields, "evict_slowdown", self.evict_slowdown.map(Value::F64));
-        push_opt(&mut fields, "max_retries", self.max_retries.map(|n| Value::U64(n as u64)));
-        push_opt(&mut fields, "backoff_base_secs", self.backoff_base_secs.map(Value::F64));
-        push_opt(
-            &mut fields,
-            "straggler_rel_threshold",
-            self.straggler_rel_threshold.map(Value::F64),
-        );
-        push_opt(
-            &mut fields,
-            "straggler_consecutive",
-            self.straggler_consecutive.map(|n| Value::U64(n as u64)),
-        );
-        fields
-            .push(("events", Value::Array(self.events.iter().map(Serialize::to_value).collect())));
-        obj(fields)
-    }
-}
-
 impl FaultsConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let detection_delay_secs = o.opt_f64("detection_delay_secs")?;
-        let evict_slowdown = o.opt_f64("evict_slowdown")?;
-        let max_retries = o.opt_usize("max_retries")?;
-        let backoff_base_secs = o.opt_f64("backoff_base_secs")?;
-        let straggler_rel_threshold = o.opt_f64("straggler_rel_threshold")?;
-        let straggler_consecutive = o.opt_usize("straggler_consecutive")?;
-        let mut events = Vec::new();
-        for (item, item_path) in o.req_array("events")? {
-            events.push(FaultEventConfig::decode(item, &item_path)?);
-        }
-        o.finish()?;
-        Ok(FaultsConfig {
-            detection_delay_secs,
-            evict_slowdown,
-            max_retries,
-            backoff_base_secs,
-            straggler_rel_threshold,
-            straggler_consecutive,
-            events,
-        })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         if let Some(x) = self.detection_delay_secs {
             let p = join(path, "detection_delay_secs");
@@ -1188,73 +796,101 @@ impl FaultsConfig {
         if self.straggler_consecutive == Some(0) {
             return Err(validate_err(&join(path, "straggler_consecutive"), "must be at least 1"));
         }
-        validate_fault_events(&self.events, &join(path, "events"))
+        let events_path = join(path, "events");
+        for (i, e) in self.events.iter().enumerate() {
+            e.validate(&join_index(&events_path, i))?;
+        }
+        let windows = self.events.iter().map(|e| {
+            let window = match &e.kind {
+                FaultKindConfig::GpuFail { gpu } | FaultKindConfig::GpuSlowdown { gpu, .. } => {
+                    Window::Open(format!("gpu {gpu}"))
+                }
+                FaultKindConfig::GpuRecover { gpu } => Window::Close(format!("gpu {gpu}")),
+                FaultKindConfig::LinkDegrade { .. } => Window::Neither,
+            };
+            (&e.at, window)
+        });
+        validate_windows(windows, &events_path, "gpu_recover")
     }
 }
 
-/// Rejects malformed event sequences: each event's own values, and
-/// *overlapping fault windows* — a `fail`/`slowdown` opened on a device
-/// that already has one open (no `recover` in between), or a `recover`
-/// with nothing to recover. Events must be listed in time order so the
-/// window walk is well-defined.
-fn validate_fault_events(events: &[FaultEventConfig], path: &str) -> Result<(), ScenarioError> {
-    let mut open: Vec<usize> = Vec::new(); // devices with an open fault window
-    let mut last: Option<&TimeSpec> = None;
-    for (i, e) in events.iter().enumerate() {
-        let p = crate::decode::join_index(path, i);
-        e.validate(&p)?;
-        if let (Some(TimeSpec::Secs(a)), TimeSpec::Secs(b)) = (last, &e.at) {
-            if b < a {
-                return Err(validate_err(&p, "events must be listed in time order"));
-            }
+/// What one fault event does to its device's fault window.
+enum Window {
+    /// Opens a window on the named device (`gpu_fail`, `gpu_slowdown`,
+    /// fleet `fail`).
+    Open(String),
+    /// Closes the named device's window (`gpu_recover`, fleet `recover`).
+    Close(String),
+    /// Touches no window (`link_degrade`).
+    Neither,
+}
+
+/// Walks a fault list (`serve.faults.events` or `fleet.faults`) in listed
+/// order. Each event must not precede the latest earlier event with the
+/// same kind of time — `t_secs` and `t_frac` are not comparable before the
+/// horizon is known — and windows must not overlap: no `Open` on a device
+/// whose window is open, no `Close` without one. `recover` names the
+/// closing action in messages.
+fn validate_windows<'a>(
+    events: impl Iterator<Item = (&'a TimeSpec, Window)>,
+    path: &str,
+    recover: &str,
+) -> Result<(), ScenarioError> {
+    let mut open: Vec<String> = Vec::new();
+    let (mut last_secs, mut last_frac) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for (i, (at, window)) in events.enumerate() {
+        let p = join_index(path, i);
+        let (last, t) = match at {
+            TimeSpec::Secs(t) => (&mut last_secs, *t),
+            TimeSpec::HorizonFrac(t) => (&mut last_frac, *t),
+        };
+        if t < *last {
+            return Err(validate_err(&p, "events must be listed in time order"));
         }
-        if let (Some(TimeSpec::HorizonFrac(a)), TimeSpec::HorizonFrac(b)) = (last, &e.at) {
-            if b < a {
-                return Err(validate_err(&p, "events must be listed in time order"));
+        *last = t;
+        match window {
+            Window::Open(device) if open.contains(&device) => {
+                return Err(validate_err(
+                    &p,
+                    format!(
+                        "overlapping fault windows on {device}: \
+                         previous fault has no {recover} before this one"
+                    ),
+                ));
             }
-        }
-        last = Some(&e.at);
-        match &e.kind {
-            FaultKindConfig::GpuFail { gpu } | FaultKindConfig::GpuSlowdown { gpu, .. } => {
-                if open.contains(gpu) {
-                    return Err(validate_err(
-                        &p,
-                        format!(
-                            "overlapping fault windows on gpu {gpu}: \
-                             previous fault has no gpu_recover before this one"
-                        ),
-                    ));
-                }
-                open.push(*gpu);
-            }
-            FaultKindConfig::GpuRecover { gpu } => match open.iter().position(|g| g == gpu) {
+            Window::Open(device) => open.push(device),
+            Window::Close(device) => match open.iter().position(|d| *d == device) {
                 Some(at) => {
                     open.remove(at);
                 }
                 None => {
                     return Err(validate_err(
                         &p,
-                        format!("gpu_recover for gpu {gpu} with no open fault window"),
+                        format!("{recover} for {device} with no open fault window"),
                     ))
                 }
             },
-            FaultKindConfig::LinkDegrade { .. } => {}
+            Window::Neither => {}
         }
     }
     Ok(())
 }
 
 /// One scheduled device event.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultEventConfig {
     /// When the fault activates.
+    #[serde(flatten)]
     pub at: TimeSpec,
     /// What happens.
+    #[serde(flatten)]
     pub kind: FaultKindConfig,
 }
 
 /// The device-event alternatives (mirrors `exegpt_faults::FaultKind`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum FaultKindConfig {
     /// The device dies until recovered.
     GpuFail {
@@ -1282,55 +918,7 @@ pub enum FaultKindConfig {
     },
 }
 
-impl Serialize for FaultEventConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        self.at.emit(&mut fields);
-        match &self.kind {
-            FaultKindConfig::GpuFail { gpu } => {
-                fields.push(("kind", Value::Str("gpu_fail".to_string())));
-                fields.push(("gpu", Value::U64(*gpu as u64)));
-            }
-            FaultKindConfig::GpuSlowdown { gpu, factor } => {
-                fields.push(("kind", Value::Str("gpu_slowdown".to_string())));
-                fields.push(("gpu", Value::U64(*gpu as u64)));
-                fields.push(("factor", Value::F64(*factor)));
-            }
-            FaultKindConfig::LinkDegrade { bw_factor, latency_add_secs } => {
-                fields.push(("kind", Value::Str("link_degrade".to_string())));
-                fields.push(("bw_factor", Value::F64(*bw_factor)));
-                fields.push(("latency_add_secs", Value::F64(*latency_add_secs)));
-            }
-            FaultKindConfig::GpuRecover { gpu } => {
-                fields.push(("kind", Value::Str("gpu_recover".to_string())));
-                fields.push(("gpu", Value::U64(*gpu as u64)));
-            }
-        }
-        obj(fields)
-    }
-}
-
 impl FaultEventConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let at = TimeSpec::decode(&mut o)?;
-        let kind =
-            match o.tag(&["gpu_fail", "gpu_slowdown", "link_degrade", "gpu_recover"])?.as_str() {
-                "gpu_fail" => FaultKindConfig::GpuFail { gpu: o.req_usize("gpu")? },
-                "gpu_slowdown" => FaultKindConfig::GpuSlowdown {
-                    gpu: o.req_usize("gpu")?,
-                    factor: o.req_f64("factor")?,
-                },
-                "link_degrade" => FaultKindConfig::LinkDegrade {
-                    bw_factor: o.req_f64("bw_factor")?,
-                    latency_add_secs: o.req_f64("latency_add_secs")?,
-                },
-                _ => FaultKindConfig::GpuRecover { gpu: o.req_usize("gpu")? },
-            };
-        o.finish()?;
-        Ok(FaultEventConfig { at, kind })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         self.at.validate(path)?;
         match &self.kind {
@@ -1363,7 +951,8 @@ impl FaultEventConfig {
 // --- fleet mode ----------------------------------------------------------
 
 /// A multi-replica fleet run behind a global router.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetConfig {
     /// Requests in the multi-tenant trace.
     pub total: usize,
@@ -1378,74 +967,14 @@ pub struct FleetConfig {
     /// The tenants.
     pub tenants: Vec<TenantConfig>,
     /// Fleet-level replica faults.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub faults: Vec<FleetFaultConfig>,
     /// Scripted autoscaling actions.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub scale: Vec<ScaleConfig>,
 }
 
-impl Serialize for FleetConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("total", Value::U64(self.total as u64)),
-            ("policy", Value::Str(self.policy.clone())),
-            ("pools", Value::Array(self.pools.iter().map(Serialize::to_value).collect())),
-            ("replicas", Value::Array(self.replicas.iter().map(Serialize::to_value).collect())),
-            ("classes", Value::Array(self.classes.iter().map(Serialize::to_value).collect())),
-            ("tenants", Value::Array(self.tenants.iter().map(Serialize::to_value).collect())),
-        ];
-        if !self.faults.is_empty() {
-            fields.push((
-                "faults",
-                Value::Array(self.faults.iter().map(Serialize::to_value).collect()),
-            ));
-        }
-        if !self.scale.is_empty() {
-            fields.push((
-                "scale",
-                Value::Array(self.scale.iter().map(Serialize::to_value).collect()),
-            ));
-        }
-        obj(fields)
-    }
-}
-
 impl FleetConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let total = o.req_usize("total")?;
-        let policy = o.req_str("policy")?;
-        let mut pools = Vec::new();
-        for (item, item_path) in o.req_array("pools")? {
-            pools.push(PoolConfig::decode(item, &item_path)?);
-        }
-        let mut replicas = Vec::new();
-        for (item, item_path) in o.req_array("replicas")? {
-            replicas.push(ReplicaConfig::decode(item, &item_path)?);
-        }
-        let mut classes = Vec::new();
-        for (item, item_path) in o.req_array("classes")? {
-            classes.push(ClassConfig::decode(item, &item_path)?);
-        }
-        let mut tenants = Vec::new();
-        for (item, item_path) in o.req_array("tenants")? {
-            tenants.push(TenantConfig::decode(item, &item_path)?);
-        }
-        let mut faults = Vec::new();
-        if let Some(items) = o.opt_array("faults")? {
-            for (item, item_path) in items {
-                faults.push(FleetFaultConfig::decode(item, &item_path)?);
-            }
-        }
-        let mut scale = Vec::new();
-        if let Some(items) = o.opt_array("scale")? {
-            for (item, item_path) in items {
-                scale.push(ScaleConfig::decode(item, &item_path)?);
-            }
-        }
-        o.finish()?;
-        Ok(FleetConfig { total, policy, pools, replicas, classes, tenants, faults, scale })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         if self.total == 0 {
             return Err(validate_err(&join(path, "total"), "must be at least 1"));
@@ -1465,7 +994,7 @@ impl FleetConfig {
             return Err(validate_err(&pools_path, "must declare at least one pool"));
         }
         for (i, pool) in self.pools.iter().enumerate() {
-            let p = crate::decode::join_index(&pools_path, i);
+            let p = join_index(&pools_path, i);
             pool.validate(&p)?;
             if self.pools[..i].iter().any(|other| other.name == pool.name) {
                 return Err(validate_err(
@@ -1479,7 +1008,7 @@ impl FleetConfig {
             return Err(validate_err(&replicas_path, "must declare at least one replica"));
         }
         for (i, r) in self.replicas.iter().enumerate() {
-            let p = crate::decode::join_index(&replicas_path, i);
+            let p = join_index(&replicas_path, i);
             if r.name.is_empty() {
                 return Err(validate_err(&join(&p, "name"), "must not be empty"));
             }
@@ -1501,7 +1030,7 @@ impl FleetConfig {
             return Err(validate_err(&classes_path, "must declare at least one class"));
         }
         for (i, c) in self.classes.iter().enumerate() {
-            let p = crate::decode::join_index(&classes_path, i);
+            let p = join_index(&classes_path, i);
             c.validate(&p)?;
             if self.classes[..i].iter().any(|other| other.name == c.name) {
                 return Err(validate_err(
@@ -1515,7 +1044,7 @@ impl FleetConfig {
             return Err(validate_err(&tenants_path, "must declare at least one tenant"));
         }
         for (i, t) in self.tenants.iter().enumerate() {
-            let p = crate::decode::join_index(&tenants_path, i);
+            let p = join_index(&tenants_path, i);
             t.validate(&p, &self.pools)?;
             if self.tenants[..i].iter().any(|other| other.tenant == t.tenant) {
                 return Err(validate_err(
@@ -1531,9 +1060,8 @@ impl FleetConfig {
             }
         }
         let faults_path = join(path, "faults");
-        let mut open: Vec<&str> = Vec::new();
         for (i, f) in self.faults.iter().enumerate() {
-            let p = crate::decode::join_index(&faults_path, i);
+            let p = join_index(&faults_path, i);
             f.at.validate(&p)?;
             if !self.replicas.iter().any(|r| r.name == f.replica) {
                 return Err(validate_err(
@@ -1541,45 +1069,23 @@ impl FleetConfig {
                     format!("unknown replica `{}`", f.replica),
                 ));
             }
-            match f.action.as_str() {
-                "fail" => {
-                    if open.contains(&f.replica.as_str()) {
-                        return Err(validate_err(
-                            &p,
-                            format!(
-                                "overlapping fault windows on replica `{}`: \
-                                 previous fail has no recover before this one",
-                                f.replica
-                            ),
-                        ));
-                    }
-                    open.push(&f.replica);
-                }
-                "recover" => match open.iter().position(|r| *r == f.replica) {
-                    Some(at) => {
-                        open.remove(at);
-                    }
-                    None => {
-                        return Err(validate_err(
-                            &p,
-                            format!(
-                                "recover for replica `{}` with no open fault window",
-                                f.replica
-                            ),
-                        ))
-                    }
-                },
-                other => {
-                    return Err(validate_err(
-                        &join(&p, "action"),
-                        format!("must be `fail` or `recover`, got `{other}`"),
-                    ))
-                }
+            if f.action != "fail" && f.action != "recover" {
+                return Err(validate_err(
+                    &join(&p, "action"),
+                    format!("must be `fail` or `recover`, got `{}`", f.action),
+                ));
             }
         }
+        let windows = self.faults.iter().map(|f| {
+            let replica = format!("replica `{}`", f.replica);
+            let window =
+                if f.action == "fail" { Window::Open(replica) } else { Window::Close(replica) };
+            (&f.at, window)
+        });
+        validate_windows(windows, &faults_path, "recover")?;
         let scale_path = join(path, "scale");
         for (i, s) in self.scale.iter().enumerate() {
-            let p = crate::decode::join_index(&scale_path, i);
+            let p = join_index(&scale_path, i);
             s.at.validate(&p)?;
             if !self.replicas.iter().any(|r| r.name == s.replica) {
                 return Err(validate_err(
@@ -1599,7 +1105,8 @@ impl FleetConfig {
 }
 
 /// A GPU pool a fleet deploys replicas onto.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PoolConfig {
     /// Pool name (replicas reference it).
     pub name: String,
@@ -1607,28 +1114,11 @@ pub struct PoolConfig {
     pub cluster: ClusterConfig,
     /// Latency bound for this pool's schedule (default: the scenario's
     /// scheduler bound).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_bound_secs: Option<f64>,
 }
 
-impl Serialize for PoolConfig {
-    fn to_value(&self) -> Value {
-        let mut fields =
-            vec![("name", Value::Str(self.name.clone())), ("cluster", self.cluster.to_value())];
-        push_opt(&mut fields, "latency_bound_secs", self.latency_bound_secs.map(Value::F64));
-        obj(fields)
-    }
-}
-
 impl PoolConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let name = o.req_str("name")?;
-        let cluster = ClusterConfig::decode(o.req("cluster")?, &o.child_path("cluster"))?;
-        let latency_bound_secs = o.opt_f64("latency_bound_secs")?;
-        o.finish()?;
-        Ok(PoolConfig { name, cluster, latency_bound_secs })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         if self.name.is_empty() {
             return Err(validate_err(&join(path, "name"), "must not be empty"));
@@ -1647,67 +1137,32 @@ impl PoolConfig {
 }
 
 /// One fleet replica.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ReplicaConfig {
     /// Replica name (faults and scale events reference it).
     pub name: String,
     /// The pool it deploys onto.
     pub pool: String,
     /// Start as a standby (not routable until scaled up).
+    #[serde(default)]
     pub standby: bool,
 }
 
-impl Serialize for ReplicaConfig {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("name", Value::Str(self.name.clone())),
-            ("pool", Value::Str(self.pool.clone())),
-            ("standby", Value::Bool(self.standby)),
-        ])
-    }
-}
-
-impl ReplicaConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let name = o.req_str("name")?;
-        let pool = o.req_str("pool")?;
-        let standby = o.opt_bool("standby")?.unwrap_or(false);
-        o.finish()?;
-        Ok(ReplicaConfig { name, pool, standby })
-    }
-}
-
 /// An SLO class.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClassConfig {
     /// Class name (tenants reference it).
     pub name: String,
     /// Weight in the fleet's weighted violation rate.
     pub weight: f64,
     /// End-to-end target (omit for best-effort).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub e2e: Option<E2eSpec>,
 }
 
-impl Serialize for ClassConfig {
-    fn to_value(&self) -> Value {
-        let mut fields =
-            vec![("name", Value::Str(self.name.clone())), ("weight", Value::F64(self.weight))];
-        push_opt(&mut fields, "e2e", self.e2e.as_ref().map(Serialize::to_value));
-        obj(fields)
-    }
-}
-
 impl ClassConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let name = o.req_str("name")?;
-        let weight = o.req_f64("weight")?;
-        let e2e = o.opt("e2e").map(|v| E2eSpec::decode(v, &join(path, "e2e"))).transpose()?;
-        o.finish()?;
-        Ok(ClassConfig { name, weight, e2e })
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         if self.name.is_empty() {
             return Err(validate_err(&join(path, "name"), "must not be empty"));
@@ -1727,7 +1182,8 @@ impl ClassConfig {
 /// An end-to-end SLO target: a concrete bound, or the midpoint of the
 /// fleet's plan latencies (the bound that separates fast pools from slow
 /// ones, whatever the profile says).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum E2eSpec {
     /// A concrete bound in seconds.
     Secs {
@@ -1738,30 +1194,7 @@ pub enum E2eSpec {
     PlanLatencyMidpoint,
 }
 
-impl Serialize for E2eSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            E2eSpec::Secs { secs } => {
-                obj(vec![("kind", Value::Str("secs".to_string())), ("secs", Value::F64(*secs))])
-            }
-            E2eSpec::PlanLatencyMidpoint => {
-                obj(vec![("kind", Value::Str("plan_latency_midpoint".to_string()))])
-            }
-        }
-    }
-}
-
 impl E2eSpec {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["secs", "plan_latency_midpoint"])?.as_str() {
-            "secs" => E2eSpec::Secs { secs: o.req_f64("secs")? },
-            _ => E2eSpec::PlanLatencyMidpoint,
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         match self {
             E2eSpec::Secs { secs } => require_pos(*secs, &join(path, "secs"), "SLO target"),
@@ -1771,7 +1204,8 @@ impl E2eSpec {
 }
 
 /// One tenant's traffic.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TenantConfig {
     /// Tenant id (unique).
     pub tenant: u32,
@@ -1782,7 +1216,8 @@ pub struct TenantConfig {
 }
 
 /// A tenant's arrival process (fleet traces have no mid-stream shift).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case", deny_unknown_fields)]
 pub enum TenantArrivals {
     /// Stationary Poisson arrivals.
     Poisson {
@@ -1802,68 +1237,13 @@ pub enum TenantArrivals {
     },
 }
 
-impl Serialize for TenantConfig {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("tenant", Value::U64(u64::from(self.tenant))),
-            ("class", Value::Str(self.class.clone())),
-            ("arrivals", self.arrivals.to_value()),
-        ])
-    }
-}
-
-impl Serialize for TenantArrivals {
-    fn to_value(&self) -> Value {
-        match self {
-            TenantArrivals::Poisson { rate } => {
-                obj(vec![("kind", Value::Str("poisson".to_string())), ("rate", rate.to_value())])
-            }
-            TenantArrivals::Bursty { rate_burst, rate_lull, dwell_burst_secs, dwell_lull_secs } => {
-                obj(vec![
-                    ("kind", Value::Str("bursty".to_string())),
-                    ("rate_burst", rate_burst.to_value()),
-                    ("rate_lull", rate_lull.to_value()),
-                    ("dwell_burst_secs", Value::F64(*dwell_burst_secs)),
-                    ("dwell_lull_secs", Value::F64(*dwell_lull_secs)),
-                ])
-            }
-        }
-    }
-}
-
 impl TenantConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let tenant = o.req_u32("tenant")?;
-        let class = o.req_str("class")?;
-        let arrivals = TenantArrivals::decode(o.req("arrivals")?, &o.child_path("arrivals"))?;
-        o.finish()?;
-        Ok(TenantConfig { tenant, class, arrivals })
-    }
-
     fn validate(&self, path: &str, pools: &[PoolConfig]) -> Result<(), ScenarioError> {
         self.arrivals.validate(&join(path, "arrivals"), pools)
     }
 }
 
 impl TenantArrivals {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = match o.tag(&["poisson", "bursty"])?.as_str() {
-            "poisson" => TenantArrivals::Poisson {
-                rate: RateSpec::decode(o.req("rate")?, &o.child_path("rate"))?,
-            },
-            _ => TenantArrivals::Bursty {
-                rate_burst: RateSpec::decode(o.req("rate_burst")?, &o.child_path("rate_burst"))?,
-                rate_lull: RateSpec::decode(o.req("rate_lull")?, &o.child_path("rate_lull"))?,
-                dwell_burst_secs: o.req_f64("dwell_burst_secs")?,
-                dwell_lull_secs: o.req_f64("dwell_lull_secs")?,
-            },
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
     fn validate(&self, path: &str, pools: &[PoolConfig]) -> Result<(), ScenarioError> {
         let check_rate = |rate: &RateSpec, rate_path: &str| -> Result<(), ScenarioError> {
             rate.validate(rate_path)?;
@@ -1901,9 +1281,11 @@ impl TenantArrivals {
 }
 
 /// A fleet-level replica fault: the whole replica is lost (or redeployed).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetFaultConfig {
     /// When it happens.
+    #[serde(flatten)]
     pub at: TimeSpec,
     /// `fail` or `recover`.
     pub action: String,
@@ -1911,31 +1293,12 @@ pub struct FleetFaultConfig {
     pub replica: String,
 }
 
-impl Serialize for FleetFaultConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        self.at.emit(&mut fields);
-        fields.push(("action", Value::Str(self.action.clone())));
-        fields.push(("replica", Value::Str(self.replica.clone())));
-        obj(fields)
-    }
-}
-
-impl FleetFaultConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let at = TimeSpec::decode(&mut o)?;
-        let action = o.req_str("action")?;
-        let replica = o.req_str("replica")?;
-        o.finish()?;
-        Ok(FleetFaultConfig { at, action, replica })
-    }
-}
-
 /// A scripted autoscaling action.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScaleConfig {
     /// When it happens.
+    #[serde(flatten)]
     pub at: TimeSpec,
     /// `up` or `down`.
     pub action: String,
@@ -1943,62 +1306,24 @@ pub struct ScaleConfig {
     pub replica: String,
 }
 
-impl Serialize for ScaleConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = Vec::new();
-        self.at.emit(&mut fields);
-        fields.push(("action", Value::Str(self.action.clone())));
-        fields.push(("replica", Value::Str(self.replica.clone())));
-        obj(fields)
-    }
-}
-
-impl ScaleConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let at = TimeSpec::decode(&mut o)?;
-        let action = o.req_str("action")?;
-        let replica = o.req_str("replica")?;
-        o.finish()?;
-        Ok(ScaleConfig { at, action, replica })
-    }
-}
-
 // --- replay mode ---------------------------------------------------------
 
 /// An offline replay through the runner: schedule once, then play
 /// `num_queries` sampled requests (optionally drifted) against the plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ReplayConfig {
     /// Queries to replay.
     pub num_queries: usize,
     /// Scale the replayed traffic's output mean (drift studies).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub scale_mean: Option<f64>,
     /// Scale the replayed traffic's output std.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub scale_std: Option<f64>,
 }
 
-impl Serialize for ReplayConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("num_queries", Value::U64(self.num_queries as u64))];
-        push_opt(&mut fields, "scale_mean", self.scale_mean.map(Value::F64));
-        push_opt(&mut fields, "scale_std", self.scale_std.map(Value::F64));
-        obj(fields)
-    }
-}
-
 impl ReplayConfig {
-    fn decode(v: &Value, path: &str) -> Result<Self, ScenarioError> {
-        let mut o = Obj::new(v, path)?;
-        let out = ReplayConfig {
-            num_queries: o.req_usize("num_queries")?,
-            scale_mean: o.opt_f64("scale_mean")?,
-            scale_std: o.opt_f64("scale_std")?,
-        };
-        o.finish()?;
-        Ok(out)
-    }
-
     fn validate(&self, path: &str) -> Result<(), ScenarioError> {
         if self.num_queries == 0 {
             return Err(validate_err(&join(path, "num_queries"), "must be at least 1"));

@@ -140,6 +140,46 @@ fn fault_recover_without_open_window_is_rejected() {
 }
 
 #[test]
+fn serve_faults_out_of_order_across_time_kinds_are_rejected() {
+    // The `t_secs` event between them must not hide that the second
+    // `t_frac` event precedes the first.
+    let text = format!(
+        "{MINIMAL_SERVE}\n\
+         [[serve.faults.events]]\n\
+         t_frac = 0.5\n\
+         kind = \"gpu_fail\"\n\
+         gpu = 1\n\n\
+         [[serve.faults.events]]\n\
+         t_secs = 1.0\n\
+         kind = \"link_degrade\"\n\
+         bw_factor = 0.5\n\
+         latency_add_secs = 0.0\n\n\
+         [[serve.faults.events]]\n\
+         t_frac = 0.2\n\
+         kind = \"gpu_recover\"\n\
+         gpu = 1\n"
+    );
+    let err = error_of(&text);
+    assert_eq!(err.key_path(), Some("serve.faults.events[2]"));
+    assert!(err.to_string().contains("time order"), "message must explain the order: {err}");
+}
+
+#[test]
+fn fleet_faults_out_of_order_are_rejected() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/fleet-loss.toml");
+    let shipped = std::fs::read_to_string(path).expect("shipped fleet-loss.toml");
+    let swapped = shipped.replacen("t_frac = 0.50", "t_frac = 0.90", 1).replacen(
+        "t_frac = 0.90\naction = \"recover\"",
+        "t_frac = 0.20\naction = \"recover\"",
+        1,
+    );
+    assert_ne!(swapped, shipped, "the fault times were rewritten");
+    let err = error_of(&swapped);
+    assert_eq!(err.key_path(), Some("fleet.faults[1]"));
+    assert!(err.to_string().contains("time order"), "message must explain the order: {err}");
+}
+
+#[test]
 fn toml_syntax_errors_carry_the_line() {
     let err = error_of("name = \"x\"\nmodel = [unterminated");
     let ScenarioError::Syntax { line, .. } = err else {
