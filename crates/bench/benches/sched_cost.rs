@@ -141,7 +141,7 @@ fn print_full_schedule_cost() {
         schedule.evals as f64 / cold_s
     );
     println!(
-        "  warm (reused engine): {:7.2} ms/run, {} evals, {} cache hits (incl. plan/completion lookups)\n",
+        "  warm (reused engine): {:7.2} ms/run, {} evals, {} cache hits\n",
         warm_s * 1e3,
         warm_schedule.evals,
         warm_schedule.cache_hits

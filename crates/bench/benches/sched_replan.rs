@@ -133,54 +133,39 @@ fn print_replan_latency() {
     schedule_line("cold full search (drifted)", cold_drift_t, &cold_drift);
     replan_line("drift replan", drift_t, &drift, cold_drift_t);
 
-    // Fault: one GPU lost. Cluster-independent cache layers stay warm, so
-    // the fair baseline is the full search on the survivors *sharing* the
-    // incumbent's cache — exactly what a serve loop would otherwise run.
+    // Fault: one GPU lost. A cluster swap starts a fresh cache, so the fair
+    // baseline is the cold full search on the survivors — exactly what a
+    // serve loop would otherwise run.
     let fault_delta = ReplanDelta { gpu_delta: -1, workload_changed: false };
     let (full_fault_t, full_fault) = min_over(|| {
-        let fresh = engine.with_workload(base.clone());
-        fresh.schedule_with(&opts).expect("feasible");
-        let degraded = fresh.with_cluster(survivors.clone());
+        let degraded = engine.with_cluster(survivors.clone());
         timed(|| degraded.schedule_with(&opts).expect("feasible"))
     });
     let (fault_t, fault) = min_over(|| {
-        let fresh = engine.with_workload(base.clone());
-        let inc = fresh.schedule_with(&opts).expect("feasible");
-        let degraded = fresh.with_cluster(survivors.clone());
-        timed(|| degraded.replan_from(&inc, fault_delta, &opts).expect("replans"))
+        let degraded = engine.with_cluster(survivors.clone());
+        timed(|| degraded.replan_from(&incumbent, fault_delta, &opts).expect("replans"))
     });
     schedule_line("full search on survivors", full_fault_t, &full_fault);
     replan_line("fault replan (-1 GPU)", fault_t, &fault, full_fault_t);
 
-    // Recovery: the lost GPU returns; the original topology's entries are
-    // still cached, so the replan mostly certifies from hits. The first
-    // replan still probes staircase-walk points the full search never
-    // evaluated; once those are resident, further replans are pure hits.
+    // Recovery: the lost GPU returns. The swap back starts a fresh cache
+    // too, so the first replan evaluates its probes cold; once those are
+    // resident, further replans are pure hits (the gate below).
     let recovery_delta = ReplanDelta { gpu_delta: 1, workload_changed: false };
     let (recovery_t, recovery) = min_over(|| {
-        let fresh = engine.with_workload(base.clone());
-        let inc = fresh.schedule_with(&opts).expect("feasible");
-        let degraded = fresh.with_cluster(survivors.clone());
-        let fault_plan = degraded.replan_from(&inc, fault_delta, &opts).expect("replans");
-        let recovered = degraded.with_cluster(engine.simulator().cluster().clone());
-        timed(|| {
-            recovered.replan_from(&fault_plan.schedule, recovery_delta, &opts).expect("replans")
-        })
+        let recovered = engine.with_cluster(engine.simulator().cluster().clone());
+        timed(|| recovered.replan_from(&fault.schedule, recovery_delta, &opts).expect("replans"))
     });
     replan_line("recovery replan (+1 GPU)", recovery_t, &recovery, warm_t);
 
-    // The smoke-gate scenario: warm replan vs warm full search on the SAME
-    // fully warm cache, so the measured gap is the search itself (staircase
-    // certification over ~1k points vs re-running ~7k-eval branch-and-
-    // bound), not cache luck.
-    let degraded = engine.with_cluster(survivors.clone());
-    let fault_plan = degraded.replan_from(&incumbent, fault_delta, &opts).expect("replans");
-    let recovered = degraded.with_cluster(engine.simulator().cluster().clone());
-    recovered.replan_from(&fault_plan.schedule, recovery_delta, &opts).expect("replans");
+    // The smoke-gate scenario: warm replan vs warm full search, each on a
+    // fully warm cache of the original topology, so the measured gap is the
+    // search itself (staircase certification over ~1k points vs re-running
+    // ~7k-eval branch-and-bound), not cache luck.
+    let recovered = engine.with_cluster(engine.simulator().cluster().clone());
+    recovered.replan_from(&fault.schedule, recovery_delta, &opts).expect("replans");
     let (warm_rec_t, warm_rec) = min_over(|| {
-        timed(|| {
-            recovered.replan_from(&fault_plan.schedule, recovery_delta, &opts).expect("replans")
-        })
+        timed(|| recovered.replan_from(&fault.schedule, recovery_delta, &opts).expect("replans"))
     });
     replan_line("recovery replan (warm)", warm_rec_t, &warm_rec, warm_t);
     println!(

@@ -1,6 +1,5 @@
 //! Cluster topology: nodes, GPUs, and the links between them.
 
-use exegpt_dist::convert::widen_u64;
 use exegpt_units::BytesPerSec;
 use serde::{Deserialize, Serialize};
 
@@ -234,40 +233,6 @@ impl ClusterSpec {
         ClusterSpec { intra, inter, ..self.clone() }
     }
 
-    /// A structural fingerprint of the cluster: every field that can change
-    /// a simulated timing or memory figure — device spec, topology counts,
-    /// link bandwidths/latencies and the deployment-path bandwidths — folded
-    /// into one FNV-1a hash. The display name is excluded, so a renamed but
-    /// otherwise identical cluster fingerprints the same, and a topology
-    /// that returns to its pre-fault shape (full recovery) reproduces its
-    /// original fingerprint exactly.
-    ///
-    /// Used to key evaluation caches across cluster swaps: entries computed
-    /// on one topology stay addressable when the simulator moves to a
-    /// degraded one and become hits again on recovery.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        fold(self.gpu.mem_bytes());
-        fold(self.gpu.peak_flops().as_f64().to_bits());
-        fold(self.gpu.mem_bandwidth().as_f64().to_bits());
-        fold(self.gpu.launch_overhead().as_f64().to_bits());
-        fold(widen_u64(self.gpus_per_node));
-        fold(widen_u64(self.num_nodes));
-        for link in [&self.intra, &self.inter] {
-            fold(link.bandwidth().as_f64().to_bits());
-            fold(link.latency().as_f64().to_bits());
-        }
-        fold(self.ssd_bandwidth.as_f64().to_bits());
-        fold(self.dram_to_gpu_bandwidth.as_f64().to_bits());
-        h
-    }
-
     /// The largest regular sub-cluster that survives `failed` device
     /// failures: failed devices reject work, so the surviving topology is
     /// what a degraded schedule must be planned on.
@@ -376,29 +341,6 @@ mod tests {
         );
         assert_eq!(degraded.num_nodes(), c.num_nodes());
         assert!(degraded.inter().bandwidth() < c.inter().bandwidth());
-    }
-
-    #[test]
-    fn fingerprint_tracks_structure_not_name() {
-        let c = ClusterSpec::a40_cluster();
-        let mut renamed = c.clone();
-        renamed.name = "same cluster, different label".into();
-        assert_eq!(c.fingerprint(), renamed.fingerprint());
-        // Every structural change moves the fingerprint...
-        assert_ne!(c.fingerprint(), c.subcluster(8).expect("fits").fingerprint());
-        assert_ne!(c.fingerprint(), c.with_gpu(c.gpu().slowed(2.0).expect("valid")).fingerprint());
-        assert_ne!(
-            c.fingerprint(),
-            c.with_links(
-                c.intra().degraded(0.5, exegpt_units::Secs::ZERO).expect("valid"),
-                c.inter().clone(),
-            )
-            .fingerprint()
-        );
-        // ...and re-deriving the same shape reproduces it (recovery).
-        let sub = c.subcluster(4).expect("fits");
-        assert_eq!(sub.fingerprint(), c.subcluster(4).expect("fits").fingerprint());
-        assert_ne!(sub.fingerprint(), sub.survivors(1).expect("ok").fingerprint());
     }
 
     #[test]

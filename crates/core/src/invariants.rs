@@ -21,8 +21,9 @@
 //!   reversal is the signature of a corrupted cost model, not of the benign
 //!   small-tolerance violations the paper measures in Table 5.
 //!
-//! The check is cheap: the probe shares the simulator's evaluation cache, so
-//! it costs at most one extra closed-form evaluation.
+//! The check is cheap: it rebuilds the schedule's pipeline plan once, and the
+//! probe goes through the simulator's estimate memo, so it costs at most one
+//! extra closed-form evaluation.
 
 use exegpt_sim::{RraConfig, ScheduleConfig, Simulator, WaaConfig};
 use exegpt_units::Secs;

@@ -116,7 +116,9 @@ pub struct Schedule {
     pub estimate: exegpt_sim::Estimate,
     /// Total distinct configuration evaluations across all searches.
     pub evals: usize,
-    /// Simulator evaluations answered by the shared evaluation cache.
+    /// Simulator evaluations answered by the simulator's estimate memo
+    /// (the [`EvalCacheStats::hits`](exegpt_sim::EvalCacheStats::hits) this
+    /// call added).
     pub cache_hits: usize,
 }
 

@@ -104,7 +104,7 @@ const FLEET_PER_REQUEST: f64 = 5.0;
 const SERVE_PER_REQUEST: f64 = 3.0;
 /// Allocations allowed per in-loop replan. A drift replan runs an
 /// incremental scheduler search on a fresh evaluation cache; the scheduler
-/// and simulator allocate per evaluation (about 21k per replan on
+/// and simulator allocate per evaluation (about 23k per replan on
 /// serve-shift), a cost outside the serving loop that this allowance keeps
 /// from growing unnoticed.
 const PER_REPLAN: usize = 24_000;

@@ -1,129 +1,68 @@
 //! Shared, concurrency-safe memoization for simulator evaluations.
 //!
 //! One scheduling run evaluates thousands of configurations, and the
-//! closed-form estimates repeat a lot of work across them: the completion
-//! analysis `P_D(U)` depends only on `N_D`, pipeline plans depend only on
-//! the batch geometry and TP setting, and the branch-and-bound searches of
-//! different `(policy, TP, B_m)` tasks frequently land on identical
-//! [`ScheduleConfig`]s. This module keeps one [`EvalCache`] per
-//! [`Simulator`](crate::Simulator) *workload*:
-//! [`Simulator::with_workload`](crate::Simulator::with_workload) swaps in a
-//! fresh cache so no per-workload entry can leak across workloads (every
-//! layer depends on the length distributions).
+//! closed-form estimates repeat work across them. The cache keeps three
+//! layers:
 //!
-//! Cluster swaps are cheaper than workload swaps: the completion analyses
-//! and the collapsed decode grids are *cluster-independent* (they derive
-//! from the workload and the layer profile, which degraded topologies
-//! reuse), while pipeline plans and full estimates are not. The
-//! cluster-dependent layers therefore carry a cluster fingerprint in their
-//! key, and [`with_cluster`](crate::Simulator::with_cluster) *shares* the
-//! cache: a fault-driven replan onto survivors keeps every
-//! cluster-independent entry warm, only re-deriving plans and estimates,
-//! and a recovery replan onto the original topology hits the original
-//! entries outright. Entries of departed fingerprints linger until the next
-//! workload swap — an accepted cost, bounded by the number of distinct
-//! topologies a fault schedule can visit.
+//! * the completion analysis `P_D(U)`, which depends only on `N_D`;
+//! * the collapsed decode-stage grids, one per stage class
+//!   ([`DecStageKey`]);
+//! * the full estimates, keyed by [`ScheduleConfig`], which repeated
+//!   searches on one simulator revisit (a replan beside the full search it
+//!   must match, a sweep over latency bounds).
 //!
-//! Concurrency: maps are sharded `RwLock<HashMap>`s so the scheduler's
-//! search pool shares one cache without serializing on a single lock. On a
-//! racing miss both threads compute (computation is pure), and the insert
-//! that loses the race is counted as a hit — making the hit/miss totals a
-//! function of the evaluated multiset only, independent of thread
-//! interleaving.
+//! Invalidation has one rule: an [`EvalCache`] belongs to exactly one
+//! (model, cluster, profile, workload) tuple. `Simulator::clone()` shares
+//! it; [`with_workload`](crate::Simulator::with_workload) and
+//! [`with_cluster`](crate::Simulator::with_cluster) install a fresh one.
+//!
+//! Concurrency: each layer is one `RwLock<BTreeMap>` shared by the
+//! scheduler's search pool. On a racing miss both threads compute
+//! (computation is pure), and the insert that loses the race is counted as
+//! a hit — making the hit/miss totals a function of the evaluated multiset
+//! only, independent of thread interleaving.
 
-// Matches the xlint::allow(D1) pragmas below (see clippy.toml).
-#![allow(clippy::disallowed_types)]
-
-// xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-use exegpt_dist::convert::narrow_usize;
 use exegpt_dist::{CompletionDist, LengthDist};
 use exegpt_profiler::Grid1D;
 
-use crate::config::{ScheduleConfig, TpConfig, WaaConfig};
+use crate::config::ScheduleConfig;
 use crate::error::SimError;
 use crate::estimate::Estimate;
-use crate::rra::RraPlan;
-use crate::waa::WaaPlan;
 
-/// Shards per map: enough to keep the search pool's workers from
-/// contending, small enough to stay cheap to allocate per workload.
-const SHARDS: usize = 8;
+/// One memo layer: an ordered map behind a reader-writer lock. A poisoned
+/// lock is recovered, since every write is one insert of a finished value
+/// and leaves the map valid.
+struct Memo<K, V>(RwLock<BTreeMap<K, V>>);
 
-/// FNV-1a. Cache keys are small config structs on the hot path of every
-/// simulator evaluation, where SipHash's per-call overhead is measurable;
-/// the keys are program-generated, so hash-flooding resistance buys nothing.
-#[derive(Clone, Copy, Default)]
-struct FnvBuildHasher;
-
-struct FnvHasher(u64);
-
-impl BuildHasher for FnvBuildHasher {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
-
-/// A hash map split into independently locked shards.
-struct ShardedMap<K, V> {
-    // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
-    shards: Vec<RwLock<HashMap<K, V, FnvBuildHasher>>>,
-    hasher: FnvBuildHasher,
-}
-
-impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
+impl<K: Ord, V: Clone> Memo<K, V> {
     fn new() -> Self {
-        Self {
-            // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
-            hasher: FnvBuildHasher,
+        Self(RwLock::new(BTreeMap::new()))
+    }
+
+    /// The memoized value for `key`, running `build` on a miss. The flag
+    /// reports whether this call inserted the entry (`false` = found, or
+    /// lost an insert race to a concurrent miss).
+    fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> (V, bool) {
+        if let Some(v) = self.0.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
+            return (v.clone(), false);
         }
-    }
-
-    // xlint::allow(D1, sharded FNV cache is keyed lookup only; iteration order never observed)
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V, FnvBuildHasher>> {
-        let idx = narrow_usize(self.hasher.hash_one(key)) % SHARDS;
-        &self.shards[idx]
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).read().unwrap_or_else(|e| e.into_inner()).get(key).cloned()
-    }
-
-    /// Inserts unless the key appeared meanwhile; reports whether this call
-    /// actually inserted (`false` = lost a race, treat as a hit).
-    fn insert_if_absent(&self, key: K, value: V) -> bool {
-        let mut shard = self.shard(&key).write().unwrap_or_else(|e| e.into_inner());
-        match shard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(value);
-                true
+        let value = build();
+        let mut map = self.0.write().unwrap_or_else(|e| e.into_inner());
+        match map.entry(key) {
+            std::collections::btree_map::Entry::Occupied(_) => (value, false),
+            std::collections::btree_map::Entry::Vacant(e) => {
+                e.insert(value.clone());
+                (value, true)
             }
         }
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len()).sum()
+        self.0.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 }
 
@@ -137,34 +76,11 @@ pub(crate) struct CompletionInfo {
     pub survival: Vec<f64>,
 }
 
-/// Key of the RRA plan cache. `b_e` is part of the key (not just the TP
-/// setting and pool size) because the plan's TP speedup is measured at the
-/// schedule's encode operating point, which scales with `B_E`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct RraPlanKey {
-    pub b_e: usize,
-    pub b_d: usize,
-    pub tp: TpConfig,
-}
-
-impl RraPlanKey {
-    /// Canonical key for a plan request. Without tensor parallelism the
-    /// plan is independent of the batch geometry (the TP speedup never
-    /// enters the layout), so every TP-none configuration shares one entry.
-    pub(crate) fn new(b_e: usize, b_d: usize, tp: TpConfig) -> Self {
-        if tp.is_none() {
-            Self { b_e: 0, b_d: 0, tp }
-        } else {
-            Self { b_e, b_d, tp }
-        }
-    }
-}
-
 /// Key of the collapsed decode-bottleneck grids: one grid per
 /// (TP degree, boundary link, layer allocation) stage class. The workload's
 /// context/input lengths are fixed per cache, so they are not part of the
 /// key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct DecStageKey {
     pub tp: usize,
     pub intra: bool,
@@ -175,24 +91,22 @@ pub(crate) struct DecStageKey {
 /// [`Simulator::cache_stats`](crate::Simulator::cache_stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
-    /// Full-estimate lookups answered from the cache.
+    /// Full-estimate lookups answered from the estimate memo.
     pub hits: usize,
     /// Full-estimate lookups that had to run the closed-form evaluation.
     pub misses: usize,
-    /// Distinct entries across all cache layers (completion, plans,
-    /// estimates).
+    /// Distinct entries across the three layers (completion analyses,
+    /// decode-stage grids, estimates).
     pub entries: usize,
 }
 
-/// The shared evaluation cache: completion analyses, pipeline plans, and
-/// full estimates. One instance per (simulator, workload); see the module
-/// docs for the invalidation contract.
+/// The shared evaluation cache: completion analyses, collapsed decode-stage
+/// grids and full estimates. One instance per (model, cluster, profile,
+/// workload); see the module docs.
 pub(crate) struct EvalCache {
-    completion: ShardedMap<usize, Arc<CompletionInfo>>,
-    dec_stage: ShardedMap<DecStageKey, Result<Arc<Grid1D>, SimError>>,
-    rra_plans: ShardedMap<(u64, RraPlanKey), Result<Arc<RraPlan>, SimError>>,
-    waa_plans: ShardedMap<(u64, WaaConfig), Result<Arc<WaaPlan>, SimError>>,
-    estimates: ShardedMap<(u64, ScheduleConfig), Result<Estimate, SimError>>,
+    completion: Memo<usize, Result<Arc<CompletionInfo>, SimError>>,
+    dec_stage: Memo<DecStageKey, Result<Arc<Grid1D>, SimError>>,
+    estimates: Memo<ScheduleConfig, Result<Estimate, SimError>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -209,11 +123,9 @@ impl std::fmt::Debug for EvalCache {
 impl EvalCache {
     pub(crate) fn new() -> Self {
         Self {
-            completion: ShardedMap::new(),
-            dec_stage: ShardedMap::new(),
-            rra_plans: ShardedMap::new(),
-            waa_plans: ShardedMap::new(),
-            estimates: ShardedMap::new(),
+            completion: Memo::new(),
+            dec_stage: Memo::new(),
+            estimates: Memo::new(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
         }
@@ -223,11 +135,7 @@ impl EvalCache {
         EvalCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.completion.len()
-                + self.dec_stage.len()
-                + self.rra_plans.len()
-                + self.waa_plans.len()
-                + self.estimates.len(),
+            entries: self.completion.len() + self.dec_stage.len() + self.estimates.len(),
         }
     }
 
@@ -242,15 +150,14 @@ impl EvalCache {
         output: &LengthDist,
         n_d: usize,
     ) -> Result<Arc<CompletionInfo>, SimError> {
-        if let Some(info) = self.completion.get(&n_d) {
-            return Ok(info);
-        }
-        let dist = CompletionDist::new(output, n_d)
-            .map_err(|e| SimError::InvalidConfig { what: "n_d", why: e.to_string() })?;
-        let survival = dist.survival_series();
-        let info = Arc::new(CompletionInfo { dist, survival });
-        self.completion.insert_if_absent(n_d, Arc::clone(&info));
-        Ok(info)
+        self.completion
+            .get_or_insert_with(n_d, || {
+                let dist = CompletionDist::new(output, n_d)
+                    .map_err(|e| SimError::InvalidConfig { what: "n_d", why: e.to_string() })?;
+                let survival = dist.survival_series();
+                Ok(Arc::new(CompletionInfo { dist, survival }))
+            })
+            .0
     }
 
     /// Collapsed decode-bottleneck grid for one stage class, built at most
@@ -260,68 +167,21 @@ impl EvalCache {
         key: DecStageKey,
         build: impl FnOnce() -> Result<Grid1D, SimError>,
     ) -> Result<Arc<Grid1D>, SimError> {
-        if let Some(grid) = self.dec_stage.get(&key) {
-            return grid;
-        }
-        let grid = build().map(Arc::new);
-        self.dec_stage.insert_if_absent(key, grid.clone());
-        grid
+        self.dec_stage.get_or_insert_with(key, || build().map(Arc::new)).0
     }
 
-    /// RRA pipeline plan, built at most once per `(cluster, B_E, B_D, TP)`.
-    pub(crate) fn rra_plan(
-        &self,
-        cluster: u64,
-        key: RraPlanKey,
-        build: impl FnOnce() -> Result<RraPlan, SimError>,
-    ) -> Result<Arc<RraPlan>, SimError> {
-        let key = (cluster, key);
-        if let Some(plan) = self.rra_plans.get(&key) {
-            return plan;
-        }
-        let plan = build().map(Arc::new);
-        self.rra_plans.insert_if_absent(key, plan.clone());
-        plan
-    }
-
-    /// WAA group split and pipeline plan, built at most once per
-    /// `(cluster, config)`.
-    pub(crate) fn waa_plan(
-        &self,
-        cluster: u64,
-        key: WaaConfig,
-        build: impl FnOnce() -> Result<WaaPlan, SimError>,
-    ) -> Result<Arc<WaaPlan>, SimError> {
-        let key = (cluster, key);
-        if let Some(plan) = self.waa_plans.get(&key) {
-            return plan;
-        }
-        let plan = build().map(Arc::new);
-        self.waa_plans.insert_if_absent(key, plan.clone());
-        plan
-    }
-
-    /// Full-estimate memo, keyed by `(cluster, config)`. Counts a hit for
-    /// every lookup answered without running `eval`, including insert races
-    /// lost to a concurrent miss, so the totals are deterministic for a
+    /// Full-estimate memo. Only the lookup that inserts an entry counts as a
+    /// miss; every other one, including an insert race lost to a concurrent
+    /// miss, counts as a hit, so the totals are deterministic for a
     /// deterministic evaluation multiset.
     pub(crate) fn estimate(
         &self,
-        cluster: u64,
         key: ScheduleConfig,
         eval: impl FnOnce() -> Result<Estimate, SimError>,
     ) -> Result<Estimate, SimError> {
-        let key = (cluster, key);
-        if let Some(est) = self.estimates.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return est;
-        }
-        let est = eval();
-        if self.estimates.insert_if_absent(key, est.clone()) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
+        let (est, inserted) = self.estimates.get_or_insert_with(key, eval);
+        let counter = if inserted { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         est
     }
 }
@@ -329,7 +189,7 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RraConfig;
+    use crate::config::{RraConfig, TpConfig};
 
     fn dummy_estimate(latency: f64) -> Result<Estimate, SimError> {
         let fp = exegpt_model::MemoryFootprint::default();
@@ -354,7 +214,7 @@ mod tests {
         let mut evals = 0;
         for _ in 0..3 {
             let est = cache
-                .estimate(7, key, || {
+                .estimate(key, || {
                     evals += 1;
                     dummy_estimate(2.0)
                 })
@@ -368,28 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_keyed_per_cluster() {
-        let cache = EvalCache::new();
-        let key = ScheduleConfig::Rra(RraConfig::new(4, 8, TpConfig::none()));
-        let a = cache.estimate(1, key, || dummy_estimate(2.0)).expect("ok");
-        // A different cluster fingerprint re-evaluates...
-        let b = cache.estimate(2, key, || dummy_estimate(3.0)).expect("ok");
-        assert_ne!(a.latency, b.latency);
-        // ...while the original entry stays warm (recovery path).
-        let again = cache.estimate(1, key, || dummy_estimate(9.0)).expect("ok");
-        assert_eq!(again.latency, a.latency);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-        assert_eq!(stats.entries, 2);
-    }
-
-    #[test]
     fn errors_are_memoized_too() {
         let cache = EvalCache::new();
         let key = ScheduleConfig::Rra(RraConfig::new(1, 1, TpConfig::none()));
         let mut evals = 0;
         for _ in 0..2 {
-            let r = cache.estimate(7, key, || {
+            let r = cache.estimate(key, || {
                 evals += 1;
                 Err(SimError::InvalidConfig { what: "b_e", why: "test".into() })
             });

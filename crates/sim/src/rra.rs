@@ -11,7 +11,7 @@ use exegpt_dist::convert::{ceil_usize, lossless_f64, trunc_u64, trunc_usize, wid
 use exegpt_model::{MemoryFootprint, ModelKind};
 use exegpt_units::Secs;
 
-use crate::cache::{DecStageKey, RraPlanKey};
+use crate::cache::DecStageKey;
 use crate::config::RraConfig;
 use crate::error::SimError;
 use crate::estimate::{Breakdown, Estimate, MemoryReport};
@@ -47,12 +47,7 @@ pub(crate) fn evaluate(sim: &Simulator, cfg: &RraConfig) -> Result<Estimate, Sim
     }
 
     // Pipeline structure under partial TP; layers allocated by stage speed.
-    // Cached by (B_E, B_D, TP): B_E matters because the TP speedup is taken
-    // at the schedule's encode operating point.
-    let plan =
-        sim.cache().rra_plan(sim.cluster_key(), RraPlanKey::new(cfg.b_e, b_d, cfg.tp), || {
-            self::plan(sim, cfg, b_d)
-        })?;
+    let plan = self::plan(sim, cfg, b_d)?;
     let (layout, enc_alloc, dec_alloc) = (&plan.layout, &plan.enc_alloc, &plan.dec_alloc);
     let stages = layout.num_stages();
 

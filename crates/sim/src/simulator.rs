@@ -8,7 +8,7 @@ use exegpt_model::{LayerKind, ModelConfig, ModelKind};
 use exegpt_profiler::LayerProfile;
 use exegpt_units::Tokens;
 
-use crate::cache::{EvalCache, EvalCacheStats, RraPlanKey};
+use crate::cache::{EvalCache, EvalCacheStats};
 use crate::config::{RraConfig, ScheduleConfig, TpConfig, WaaConfig, Workload};
 use crate::error::SimError;
 use crate::estimate::Estimate;
@@ -33,18 +33,14 @@ pub struct Simulator {
     cluster: ClusterSpec,
     profile: Arc<LayerProfile>,
     workload: Workload,
-    /// Memoized completion analyses, pipeline plans and full estimates.
-    /// Valid for this exact (model, profile, workload) tuple, so it is
-    /// shared by `clone()` *and* [`with_cluster`] (cluster-dependent layers
-    /// carry [`cluster_key`](Self::cluster_key) in their keys) but replaced
-    /// by [`with_workload`].
+    /// Memoized completion analyses, decode-stage grids and full estimates.
+    /// Valid for this exact (model, cluster, profile, workload) tuple, so it
+    /// is shared by `clone()` and replaced by [`with_workload`] and
+    /// [`with_cluster`].
     ///
     /// [`with_workload`]: Simulator::with_workload
     /// [`with_cluster`]: Simulator::with_cluster
     cache: Arc<EvalCache>,
-    /// `cluster.fingerprint()`, precomputed: the cache key component that
-    /// scopes cluster-dependent entries to this topology.
-    cluster_key: u64,
 }
 
 impl Simulator {
@@ -55,8 +51,7 @@ impl Simulator {
         profile: Arc<LayerProfile>,
         workload: Workload,
     ) -> Self {
-        let cluster_key = cluster.fingerprint();
-        Self { model, cluster, profile, workload, cache: Arc::new(EvalCache::new()), cluster_key }
+        Self { model, cluster, profile, workload, cache: Arc::new(EvalCache::new()) }
     }
 
     /// The simulated model.
@@ -93,15 +88,9 @@ impl Simulator {
     /// *types* match the profiled ones, which holds for subclusters and
     /// degraded variants of the original.
     ///
-    /// The evaluation cache is *shared*, not flushed: cluster-dependent
-    /// entries (pipeline plans, full estimates) are keyed by the cluster's
-    /// [`fingerprint`](ClusterSpec::fingerprint), so a swap only re-derives
-    /// those, keeps the cluster-independent completion analyses and decode
-    /// grids warm, and turns a later swap back to the original topology
-    /// (fault recovery) into pure cache hits.
+    /// The evaluation cache is fresh, as estimates depend on the topology.
     pub fn with_cluster(&self, cluster: ClusterSpec) -> Self {
-        let cluster_key = cluster.fingerprint();
-        Self { cluster, cache: Arc::clone(&self.cache), cluster_key, ..self.clone() }
+        Self { cluster, cache: Arc::new(EvalCache::new()), ..self.clone() }
     }
 
     /// Point-in-time counters of the shared evaluation cache (hits, misses,
@@ -114,12 +103,6 @@ impl Simulator {
     /// clones) computes for the current workload.
     pub(crate) fn cache(&self) -> &EvalCache {
         &self.cache
-    }
-
-    /// The precomputed cluster fingerprint scoping cluster-dependent cache
-    /// entries (see [`cache`](Self::cache)).
-    pub(crate) fn cluster_key(&self) -> u64 {
-        self.cluster_key
     }
 
     /// Evaluates either schedule family.
@@ -141,8 +124,7 @@ impl Simulator {
     ///
     /// See [`Simulator::evaluate`].
     pub fn evaluate_rra(&self, cfg: &RraConfig) -> Result<Estimate, SimError> {
-        self.cache
-            .estimate(self.cluster_key, ScheduleConfig::Rra(*cfg), || rra::evaluate(self, cfg))
+        self.cache.estimate(ScheduleConfig::Rra(*cfg), || rra::evaluate(self, cfg))
     }
 
     /// Evaluates a WAA schedule (see [`WaaConfig`]).
@@ -151,8 +133,7 @@ impl Simulator {
     ///
     /// See [`Simulator::evaluate`].
     pub fn evaluate_waa(&self, cfg: &WaaConfig) -> Result<Estimate, SimError> {
-        self.cache
-            .estimate(self.cluster_key, ScheduleConfig::Waa(*cfg), || waa::evaluate(self, cfg))
+        self.cache.estimate(ScheduleConfig::Waa(*cfg), || waa::evaluate(self, cfg))
     }
 
     /// Resolves the pipeline plan (layout + per-stage layer allocations) of
@@ -164,11 +145,8 @@ impl Simulator {
     ///
     /// Returns [`SimError::InvalidConfig`] for structurally invalid
     /// configurations.
-    pub fn rra_plan(&self, cfg: &RraConfig, b_d: usize) -> Result<crate::rra::RraPlan, SimError> {
-        let key = RraPlanKey::new(cfg.b_e, b_d, cfg.tp);
-        self.cache
-            .rra_plan(self.cluster_key, key, || crate::rra::plan(self, cfg, b_d))
-            .map(|p| (*p).clone())
+    pub fn rra_plan(&self, cfg: &RraConfig, b_d: usize) -> Result<rra::RraPlan, SimError> {
+        rra::plan(self, cfg, b_d)
     }
 
     /// Resolves the group split and pipeline plans of a WAA configuration.
@@ -177,10 +155,8 @@ impl Simulator {
     ///
     /// Returns [`SimError::InvalidConfig`] for structurally invalid
     /// configurations.
-    pub fn waa_plan(&self, cfg: &WaaConfig) -> Result<crate::waa::WaaPlan, SimError> {
-        self.cache
-            .waa_plan(self.cluster_key, *cfg, || crate::waa::plan(self, cfg))
-            .map(|p| (*p).clone())
+    pub fn waa_plan(&self, cfg: &WaaConfig) -> Result<waa::WaaPlan, SimError> {
+        waa::plan(self, cfg)
     }
 
     /// Usable per-GPU memory in bytes (device capacity minus the workspace

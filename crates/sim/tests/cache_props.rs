@@ -1,6 +1,7 @@
 //! Property coverage of the evaluation cache: memoized results must be
 //! bit-identical to freshly computed ones, for both schedule families and
-//! for infeasible configurations (whose errors are memoized too).
+//! for infeasible configurations (whose errors are memoized too), and a
+//! cluster or workload swap must start from an empty cache.
 
 use std::sync::{Arc, OnceLock};
 
@@ -8,7 +9,11 @@ use exegpt_cluster::ClusterSpec;
 use exegpt_dist::LengthDist;
 use exegpt_model::ModelConfig;
 use exegpt_profiler::{ProfileOptions, Profiler};
-use exegpt_sim::{RraConfig, ScheduleConfig, Simulator, TpConfig, WaaConfig, WaaVariant, Workload};
+use exegpt_sim::{
+    Estimate, RraConfig, ScheduleConfig, SimError, Simulator, TpConfig, WaaConfig, WaaVariant,
+    Workload,
+};
+use exegpt_units::Secs;
 use proptest::prelude::*;
 
 /// OPT-13B on four A40s serving task S, profiled once for the whole suite.
@@ -88,30 +93,64 @@ proptest! {
     }
 }
 
-#[test]
-fn with_cluster_shares_the_cache_without_leaking_across_topologies() {
-    let sim = simulator().with_workload(simulator().workload().clone());
-    let cfg = RraConfig::new(16, 16, TpConfig::none());
-    let healthy = sim.evaluate_rra(&cfg).expect("feasible");
-    let warm_misses = sim.cache_stats().misses;
+/// Cluster sequences a simulator walks through `with_cluster`: each shape a
+/// fault or a recovery can produce, ending on the cluster under test.
+fn cluster_path_strategy() -> impl Strategy<Value = Vec<ClusterSpec>> {
+    let base = simulator().cluster().clone();
+    let slowed = base.with_gpu(base.gpu().slowed(2.0).expect("valid"));
+    let degraded = base.with_links(
+        base.intra().degraded(0.5, Secs::ZERO).expect("valid"),
+        base.inter().degraded(0.5, Secs::new(1e-5)).expect("valid"),
+    );
+    let round_trip = vec![base.survivors(1).expect("a GPU survives"), base.clone()];
+    prop_oneof![
+        (1usize..=3).prop_map(move |k| vec![base.survivors(k).expect("a GPU survives")]),
+        Just(vec![slowed]),
+        Just(vec![degraded]),
+        Just(round_trip),
+    ]
+}
 
-    // Same config on a degraded topology: entries are keyed by cluster
-    // fingerprint, so this must re-derive rather than replay the healthy
-    // estimate.
-    let degraded = sim.with_cluster(sim.cluster().survivors(1).expect("one node left"));
-    let worse = degraded.evaluate_rra(&cfg).expect("feasible");
-    assert_ne!(healthy, worse, "halving the pipeline must change the estimate");
-    assert!(worse.throughput < healthy.throughput);
+/// Byte-level rendering of one evaluation: the serializer prints
+/// shortest-round-trip floats, so equal strings mean equal bits.
+fn render(result: Result<Estimate, SimError>) -> String {
+    match result {
+        Ok(est) => serde_json::to_string(&est).expect("serializes"),
+        Err(e) => format!("error: {e}"),
+    }
+}
 
-    // The cache is shared (not flushed): the degraded evaluation shows up in
-    // the same stats, and swapping back to the healthy topology is a pure
-    // hit — no new misses, byte-identical estimate.
-    assert!(degraded.cache_stats().misses > warm_misses);
-    let recovered = degraded.with_cluster(sim.cluster().clone());
-    let misses_before = recovered.cache_stats().misses;
-    let replay = recovered.evaluate_rra(&cfg).expect("feasible");
-    assert_eq!(replay, healthy);
-    assert_eq!(recovered.cache_stats().misses, misses_before, "recovery must be a cache hit");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    #[test]
+    fn with_cluster_matches_a_fresh_simulator(
+        path in cluster_path_strategy(),
+        cfgs in prop::collection::vec(config_strategy(), 6),
+    ) {
+        // Warm the origin first: a swap that carried its cache over would
+        // replay these estimates on the new topology.
+        let origin = simulator().with_workload(simulator().workload().clone());
+        let warm: Vec<String> = cfgs.iter().map(|cfg| render(origin.evaluate(cfg))).collect();
+        let mut swapped = origin.clone();
+        for cluster in &path {
+            swapped = swapped.with_cluster(cluster.clone());
+            let stats = swapped.cache_stats();
+            prop_assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        }
+        let fresh = Simulator::new(
+            origin.model().clone(),
+            swapped.cluster().clone(),
+            Arc::clone(origin.profile()),
+            origin.workload().clone(),
+        );
+        for (cfg, warm) in cfgs.iter().zip(&warm) {
+            let got = render(swapped.evaluate(cfg));
+            prop_assert_eq!(&got, &render(fresh.evaluate(cfg)), "{:?} on {:?}", cfg, path);
+            if swapped.cluster() == origin.cluster() {
+                prop_assert_eq!(&got, warm, "a round trip must restore {:?}", cfg);
+            }
+        }
+    }
 }
 
 #[test]

@@ -337,8 +337,8 @@ pub fn context_for(label: &str) -> FileContext {
 }
 
 /// The only modules allowed to hold concurrency primitives (rule D3):
-/// the scheduler's deterministic-join worker pool and the sim's sharded
-/// profile cache. Everything else must stay sequential.
+/// the scheduler's deterministic-join worker pool and the sim's
+/// lock-guarded evaluation cache. Everything else must stay sequential.
 pub const AUDITED_CONCURRENCY_MODULES: [&str; 2] =
     ["crates/core/src/scheduler.rs", "crates/sim/src/cache.rs"];
 
